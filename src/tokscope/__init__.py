@@ -74,6 +74,7 @@ from .predictor import (
     fit_logistic,
     fit_platt,
     fit_rbf_svm_platt,
+    heldout_language_probabilities,
     leave_one_language_out,
     leave_one_tokenizer_out,
     predict_pair,
@@ -107,7 +108,8 @@ __all__ = [
     "EvaluationReport", "PairwiseExample", "PairwiseModel",
     "PairwiseProbabilities", "build_pairwise_dataset", "fit_linear_svm",
     "fit_logistic", "fit_platt", "fit_rbf_svm_platt",
-    "leave_one_language_out", "leave_one_tokenizer_out", "predict_pair",
+    "heldout_language_probabilities", "leave_one_language_out",
+    "leave_one_tokenizer_out", "predict_pair",
     "BTRatings", "Ranking", "evaluate_ranking", "fit_bradley_terry",
     "ground_truth_ranking", "ranking_from_ratings",
     "RunConfig", "generate_zipf_stream", "main", "run",

@@ -33,7 +33,7 @@ from .corpus_io import (
 )
 from .predictor import (
     MODEL_KINDS,
-    leave_one_language_out,
+    heldout_language_probabilities,
     leave_one_tokenizer_out,
 )
 from .ranking import evaluate_ranking, fit_bradley_terry, ground_truth_ranking, ranking_from_ratings
@@ -303,15 +303,10 @@ def _cmd_rank(config: RunConfig) -> int:
     _require(config, "metrics_dir", "heldout_language", "out")
     fixture = _load_fixture(config)
     metrics = load_metric_dir(config.metrics_dir)
-    if config.heldout_language not in fixture.languages():
-        raise ValueError(
-            f"language {config.heldout_language!r} is not in the fixture "
-            f"(has {fixture.languages()})"
-        )
-    matrices = leave_one_language_out(
-        metrics, fixture, scale=config.scale, cv_folds=config.cv_folds, seed=config.seed
+    probs = heldout_language_probabilities(
+        metrics, fixture, config.scale, config.heldout_language,
+        cv_folds=config.cv_folds, seed=config.seed,
     )
-    probs = matrices[config.heldout_language]
     ratings = fit_bradley_terry(probs.matrix, probs.names)
     predicted = ranking_from_ratings(ratings)
     truth = ground_truth_ranking(fixture, config.heldout_language, config.scale)

@@ -4,10 +4,10 @@ Each training example compares two tokenizers on one language: features
 are the difference of their metric vectors, the label says whether the
 first-listed tokenizer has the lower (better) mean MetricX over the two
 translation directions. Three model families are supported, all fit by
-deterministic full-batch optimizers so repeated runs are bit-identical:
+deterministic optimizers so repeated runs are bit-identical:
 
   logistic     L2-regularized logistic regression, gradient descent
-  linear-svm   hinge loss + L2, projected subgradient descent
+  linear-svm   hinge loss + L2, dual coordinate descent
   rbf-svm      kernel SVM fit by SMO, probabilities via Platt scaling
 
 Features are standardized on the training split; the standardization is
@@ -34,7 +34,8 @@ GAMMA_GRID = (0.01, 0.1, 1.0, 10.0)
 
 GD_MAX_ITER = 10_000
 GD_TOL = 1e-8
-SUBGRAD_ITERS = 10_000
+DCD_TOL = 1e-8
+DCD_MAX_SWEEPS = 100_000
 SMO_TOL = 1e-10
 SMO_MAX_STEPS = 200_000
 
@@ -257,29 +258,47 @@ def fit_logistic(
 
 
 def _fit_linear_svm_core(X, y, C):
-    """Projected subgradient descent on (1/(2C))||theta||^2 + mean hinge.
+    """Dual coordinate descent on (1/2)||theta||^2 + (C/n) * sum of hinge.
 
     The bias rides along as an augmented constant feature, so it shares
     the L2 penalty; with standardized features the distortion is small.
     Normalizing by the example count keeps the decision function
-    invariant under dataset duplication.
+    invariant under dataset duplication. The dual is a QP over the box
+    [0, C/n] with no equality constraint (Hsieh et al., ICML 2008). Each
+    sweep visits the coordinates in a fixed cyclic order, so refits are
+    bit-identical. Raises if the projected-gradient spread has not
+    reached tolerance within the sweep cap.
     """
     mean, scale = _standardization(X)
     Z = (X - mean) / scale
     n, d = Z.shape
     A = np.column_stack([Z, np.ones(n)])
     sign = np.where(y > 0.5, 1.0, -1.0)
-    lam = 1.0 / C
-    theta = np.zeros(d + 1)
-    radius = 1.0 / np.sqrt(lam)
-    for t in range(1, SUBGRAD_ITERS + 1):
-        margins = sign * (A @ theta)
-        violating = margins < 1.0
-        grad = lam * theta - (sign[violating, None] * A[violating]).sum(axis=0) / n
-        theta = theta - grad / (lam * t)
-        norm = np.linalg.norm(theta)
-        if norm > radius:
-            theta = theta * (radius / norm)
+    Q = (sign[:, None] * sign[None, :]) * (A @ A.T)
+    diag = np.diag(Q).tolist()  # >= 1 because of the constant feature
+    upper = C / n
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # gradient of the dual objective, Q @ alpha - 1
+    for _ in range(DCD_MAX_SWEEPS):
+        # Projected gradient: zero where the box blocks the descent step.
+        # Zero also joins the spread, since without an equality constraint
+        # the optimum has every entry at zero, not merely all equal.
+        blocked = ((alpha <= 0.0) & (grad > 0.0)) | ((alpha >= upper) & (grad < 0.0))
+        pg = np.where(blocked, 0.0, grad)
+        if max(pg.max(), 0.0) - min(pg.min(), 0.0) <= DCD_TOL:
+            break
+        for i in range(n):
+            old = alpha[i]
+            new = min(max(old - grad[i] / diag[i], 0.0), upper)
+            if new != old:
+                alpha[i] = new
+                grad += Q[i] * (new - old)
+    else:
+        raise RuntimeError(
+            f"linear SVM fit did not converge in {DCD_MAX_SWEEPS} sweeps "
+            f"(C={C}); the data may be degenerate"
+        )
+    theta = A.T @ (alpha * sign)
     return mean, scale, float(theta[d]), theta[:d]
 
 
@@ -662,6 +681,46 @@ def leave_one_tokenizer_out(
     )
 
 
+def heldout_language_probabilities(
+    metrics: dict,
+    fixture: DownstreamFixture,
+    scale: str,
+    language: str,
+    cv_folds: int = 5,
+    seed: int = 0,
+) -> PairwiseProbabilities:
+    """Win probabilities on `language` from an RBF SVM trained on the others.
+
+    The seeded dataset is built over every language, so the training
+    examples do not depend on which language is held out. Raw model
+    outputs for the two orientations of a pair need not agree, so they
+    are symmetrized: P[i, j] <- (P(i over j) + 1 - P(j over i))/2.
+    """
+    languages = fixture.languages()
+    if len(languages) < 2:
+        raise ValueError("need at least 2 languages for leave-one-out")
+    if language not in languages:
+        raise ValueError(
+            f"language {language!r} is not in the fixture (has {languages})"
+        )
+    tokenizers = fixture.tokenizers()
+    dataset = build_pairwise_dataset(metrics, fixture, scale, METRIC_NAMES, seed)
+    train = [e for e in dataset if e.language != language]
+    model = fit_rbf_svm_platt(train, cv_folds=cv_folds, feature_names=METRIC_NAMES)
+    n = len(tokenizers)
+    matrix = np.full((n, n), 0.5)
+    for i in range(n):
+        for j in range(i + 1, n):
+            xi = metrics[(tokenizers[i], language)].as_features(METRIC_NAMES)
+            xj = metrics[(tokenizers[j], language)].as_features(METRIC_NAMES)
+            p_ij = predict_pair(model, xi - xj)
+            p_ji = predict_pair(model, xj - xi)
+            p = (p_ij + 1.0 - p_ji) / 2.0
+            matrix[i, j] = p
+            matrix[j, i] = 1.0 - p
+    return PairwiseProbabilities(names=tuple(tokenizers), matrix=matrix)
+
+
 def leave_one_language_out(
     metrics: dict,
     fixture: DownstreamFixture,
@@ -669,30 +728,10 @@ def leave_one_language_out(
     cv_folds: int = 5,
     seed: int = 0,
 ) -> dict[str, PairwiseProbabilities]:
-    """Per language: win probabilities from an RBF SVM trained on the others.
-
-    Raw model outputs for the two orientations of a pair need not agree,
-    so they are symmetrized: P[i, j] <- (P(i over j) + 1 - P(j over i))/2.
-    """
-    languages = fixture.languages()
-    if len(languages) < 2:
-        raise ValueError("need at least 2 languages for leave-one-out")
-    tokenizers = fixture.tokenizers()
-    dataset = build_pairwise_dataset(metrics, fixture, scale, METRIC_NAMES, seed)
-    out = {}
-    for language in languages:
-        train = [e for e in dataset if e.language != language]
-        model = fit_rbf_svm_platt(train, cv_folds=cv_folds, feature_names=METRIC_NAMES)
-        n = len(tokenizers)
-        matrix = np.full((n, n), 0.5)
-        for i in range(n):
-            for j in range(i + 1, n):
-                xi = metrics[(tokenizers[i], language)].as_features(METRIC_NAMES)
-                xj = metrics[(tokenizers[j], language)].as_features(METRIC_NAMES)
-                p_ij = predict_pair(model, xi - xj)
-                p_ji = predict_pair(model, xj - xi)
-                p = (p_ij + 1.0 - p_ji) / 2.0
-                matrix[i, j] = p
-                matrix[j, i] = 1.0 - p
-        out[language] = PairwiseProbabilities(names=tuple(tokenizers), matrix=matrix)
-    return out
+    """heldout_language_probabilities for every language of the fixture."""
+    return {
+        language: heldout_language_probabilities(
+            metrics, fixture, scale, language, cv_folds=cv_folds, seed=seed
+        )
+        for language in fixture.languages()
+    }

@@ -75,6 +75,24 @@ def _tie_term(values: np.ndarray) -> float:
     return float((counts * (counts - 1) // 2).sum())
 
 
+def _var_s(x: np.ndarray, y: np.ndarray) -> float:
+    """Null variance of Kendall's S with ties in both rankings (Kendall 1945).
+
+    Without ties it reduces to n(n-1)(2n+5)/18.
+    """
+    n = len(x)
+    tx, ty = (np.unique(v, return_counts=True)[1].astype(float) for v in (x, y))
+
+    def tied(t, weight):
+        return float((t * (t - 1) * weight).sum())
+
+    return (
+        (n * (n - 1) * (2 * n + 5) - tied(tx, 2 * tx + 5) - tied(ty, 2 * ty + 5)) / 18.0
+        + tied(tx, 1.0) * tied(ty, 1.0) / (2.0 * n * (n - 1))
+        + tied(tx, tx - 2) * tied(ty, ty - 2) / (9.0 * n * (n - 1) * (n - 2))
+    )
+
+
 def _tau_b(x: np.ndarray, y: np.ndarray) -> float:
     iu, ju = np.triu_indices(len(x), k=1)
     sx = np.sign(x[iu] - x[ju])
@@ -148,8 +166,9 @@ def kendall(x, y, alternative: str = "two-sided") -> CorrelationResult:
     """Kendall's tau-b (tie-corrected).
 
     p-value: exact permutation enumeration for n <= 8, otherwise the normal
-    approximation on the concordance statistic. `alternative` is
-    "two-sided" or "greater" (one-sided, positive association).
+    approximation on the concordance statistic S with its tie-corrected
+    variance. `alternative` is "two-sided" or "greater" (one-sided,
+    positive association).
     """
     xv, yv = _as_pair(x, y, min_n=3)
     n = len(xv)
@@ -159,8 +178,7 @@ def kendall(x, y, alternative: str = "two-sided") -> CorrelationResult:
     else:
         iu, ju = np.triu_indices(n, k=1)
         s = float(np.sign(xv[iu] - xv[ju]) @ np.sign(yv[iu] - yv[ju]))
-        var_s = n * (n - 1) * (2 * n + 5) / 18.0
-        z = s / math.sqrt(var_s)
+        z = s / math.sqrt(_var_s(xv, yv))
         if alternative == "two-sided":
             p = math.erfc(abs(z) / math.sqrt(2.0))
         elif alternative == "greater":

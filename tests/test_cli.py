@@ -12,6 +12,7 @@ import importlib
 import importlib.metadata
 import json
 import math
+import runpy
 import shutil
 import subprocess
 import sys
@@ -335,7 +336,9 @@ class TestRankCommand:
                    "--scale", SYNTH_SCALE, "--heldout-language", "zz",
                    "--out", tmp_path / "rank.json")
         assert code == 1
-        assert "not in the fixture" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("tokscope: error: language 'zz' is not in the fixture (has ")
+        assert not (tmp_path / "rank.json").exists()
 
 
 class TestMetricDir:
@@ -397,6 +400,13 @@ class TestRunDispatch:
             sys.exit(func())
         assert exc.value.code in (0, None)
         assert capsys.readouterr().out.strip() == f"tokscope {version}"
+
+    def test_python_m_tokscope_version(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["tokscope", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("tokscope", run_name="__main__")
+        assert exc.value.code in (0, None)
+        assert capsys.readouterr().out == f"tokscope {tokscope.__version__}\n"
 
     @pytest.mark.skipif(shutil.which("tokscope") is None,
                         reason="tokscope console script not on PATH")

@@ -1,9 +1,10 @@
 """Pairwise predictors: dataset construction, solvers, calibration.
 
 Solver oracles: the SMO dual is cross-checked against an SLSQP solve of
-the same QP plus the KKT conditions; logistic fits are checked against
-closed-form optima (intercept-only data) and symmetry arguments rather
-than against a second optimizer.
+the same QP plus the KKT conditions, and the linear SVM's dual coordinate
+descent against an SLSQP solve of its box-constrained dual; logistic
+fits are checked against closed-form optima (intercept-only data) and
+symmetry arguments rather than against a second optimizer.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ from tokscope import (
     fit_logistic,
     fit_platt,
     fit_rbf_svm_platt,
+    heldout_language_probabilities,
     leave_one_language_out,
     leave_one_tokenizer_out,
     predict_pair,
 )
+from tokscope import predictor
 from tokscope.predictor import (
     GAMMA_GRID,
     REGULARIZATION_GRID,
+    _fit_linear_svm_core,
     _rbf_kernel,
     _smo,
     _stratified_folds,
@@ -248,6 +252,37 @@ class TestFitLinearSvm:
         assert model.feature_names == subset
         assert model.weights.shape == (3,)
 
+    @pytest.mark.parametrize("C", REGULARIZATION_GRID)
+    def test_dcd_agrees_with_qp_solver(self, synth_dataset, C):
+        X = np.vstack([e.features for e in synth_dataset])
+        y = np.array([e.label for e in synth_dataset], dtype=np.float64)
+        sign = np.where(y > 0.5, 1.0, -1.0)
+        n = len(y)
+        mean, scale, b, w = _fit_linear_svm_core(X, y, C)
+        A = np.column_stack([(X - mean) / scale, np.ones(n)])
+
+        def primal(theta):
+            hinge = np.maximum(0.0, 1.0 - sign * (A @ theta))
+            return 0.5 * theta @ theta + C / n * hinge.sum()
+
+        Q = (sign[:, None] * sign[None, :]) * (A @ A.T)
+        result = optimize.minimize(
+            lambda a: 0.5 * a @ Q @ a - a.sum(),
+            np.zeros(n),
+            jac=lambda a: Q @ a - 1.0,
+            bounds=[(0.0, C / n)] * n,
+            method="SLSQP",
+            options={"ftol": 1e-12, "maxiter": 500},
+        )
+        assert result.success
+        assert primal(np.append(w, b)) <= primal(A.T @ (result.x * sign)) + 1e-9
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        X, y = np.array([[-1.0], [-2.0], [1.0], [2.0]]), np.array([0.0, 0.0, 1.0, 1.0])
+        monkeypatch.setattr(predictor, "DCD_MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _fit_linear_svm_core(X, y, 1.0)
+
     def test_missing_platt_rejected(self):
         model = PairwiseModel(
             kind="linear-svm",
@@ -457,12 +492,16 @@ class TestLeaveOneTokenizerOut:
             leave_one_tokenizer_out(metrics, fixture, "1B")
 
 
+@pytest.fixture(scope="module")
+def lolo_tables(synth_world):
+    metrics, fixture = synth_world
+    return leave_one_language_out(metrics, fixture, SYNTH_SCALE, seed=0)
+
+
 class TestLeaveOneLanguageOut:
-    def test_probability_tables(self, synth_world):
-        metrics, fixture = synth_world
-        tables = leave_one_language_out(metrics, fixture, SYNTH_SCALE, seed=0)
-        assert set(tables) == set(SYNTH_LANGUAGES)
-        for probs in tables.values():
+    def test_probability_tables(self, lolo_tables):
+        assert set(lolo_tables) == set(SYNTH_LANGUAGES)
+        for probs in lolo_tables.values():
             assert probs.names == SYNTH_TOKENIZERS
             matrix = probs.matrix
             np.testing.assert_array_equal(np.diag(matrix), 0.5)
@@ -483,3 +522,19 @@ class TestLeaveOneLanguageOut:
         }
         with pytest.raises(ValueError, match="at least 2 languages"):
             leave_one_language_out(metrics, fixture, "1B")
+
+
+class TestHeldoutLanguageProbabilities:
+    @pytest.mark.parametrize("language", SYNTH_LANGUAGES)
+    def test_matches_leave_one_language_out(self, synth_world, lolo_tables, language):
+        metrics, fixture = synth_world
+        probs = heldout_language_probabilities(
+            metrics, fixture, SYNTH_SCALE, language, seed=0
+        )
+        assert probs.names == lolo_tables[language].names
+        assert np.array_equal(probs.matrix, lolo_tables[language].matrix)
+
+    def test_unknown_language_rejected(self, synth_world):
+        metrics, fixture = synth_world
+        with pytest.raises(ValueError, match="'zz' is not in the fixture"):
+            heldout_language_probabilities(metrics, fixture, SYNTH_SCALE, "zz")

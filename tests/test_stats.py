@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from tokscope.stats import (
     CorrelationResult,
@@ -222,6 +223,30 @@ class TestKendall:
         r = kendall(x, y)
         assert r.p_value < 1e-10
         assert r.coefficient > 0.99
+
+    @given(
+        st.integers(9, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                st.lists(st.integers(0, 6), min_size=n, max_size=n),
+            )
+        )
+    )
+    @example(
+        ([1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4], [1, 2, 1, 2, 3, 2, 3, 4, 3, 4, 4, 4])
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_asymptotic_p_matches_scipy_with_ties(self, xy):
+        x, y = xy
+        if len(set(x)) < 2 or len(set(y)) < 2:
+            return
+        for alternative in ("two-sided", "greater"):
+            mine = kendall(x, y, alternative=alternative)
+            ref = scipy_stats.kendalltau(
+                x, y, method="asymptotic", alternative=alternative
+            )
+            assert math.isclose(mine.coefficient, ref.statistic, abs_tol=1e-12)
+            assert math.isclose(mine.p_value, ref.pvalue, rel_tol=1e-9)
 
     @given(
         st.integers(3, 8).flatmap(
