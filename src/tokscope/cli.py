@@ -29,7 +29,7 @@ from .corpus_io import (
     load_bundled_fixture,
     load_corpus,
     load_downstream_fixture,
-    load_token_stream,
+    save_token_stream,
 )
 from .predictor import (
     MODEL_KINDS,
@@ -42,10 +42,12 @@ from .zipf_metrics import (
     DEFAULT_TRUNCATION_BOUND,
     METRIC_NAMES,
     MetricVector,
-    count_frequencies,
+    TokenFrequencyTable,
+    count_blocks,
+    count_token_file,
     metadata_block,
-    metric_vector,
     metric_vector_from_dict,
+    metric_vector_from_table,
     metric_vector_to_dict,
     ranked_counts,
 )
@@ -133,23 +135,23 @@ def _require(config: RunConfig, *names: str) -> None:
         raise ValueError(f"{config.command}: missing required flags: {flags}")
 
 
-def _load_tokenizer_inputs(config: RunConfig) -> TokenSequence:
-    """A token stream, either given directly or produced by encoding a corpus."""
+def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str]:
+    """The count table of a token stream and the tokenizer's name.
+
+    The stream is either a token file or a corpus encoded here; neither
+    is held whole in memory.
+    """
     if config.tokens is not None:
         if config.vocab is not None or config.corpus is not None:
             raise ValueError("--tokens conflicts with --vocab/--merges/--corpus")
-        return load_token_stream(config.tokens, name=config.tokenizer_name)
+        name = config.tokenizer_name if config.tokenizer_name is not None else config.tokens.stem
+        return count_token_file(config.tokens), name
     _require(config, "vocab", "merges", "corpus")
     tokenizer = bpe_mod.load_bpe(config.vocab, config.merges)
     docs = load_corpus(config.corpus, config.corpus_format)
     name = config.tokenizer_name or Path(config.vocab).stem
     sequences = _encode_documents(tokenizer, [d.text for d in docs], config.threads)
-    tokens = (
-        np.concatenate([s.tokens for s in sequences])
-        if sequences
-        else np.zeros(0, dtype=np.int64)
-    )
-    return TokenSequence(tokens=tokens, source_tokenizer=name)
+    return count_blocks((s.tokens for s in sequences), str(config.corpus)), name
 
 
 def _encode_documents(tokenizer, texts, threads: int) -> list[TokenSequence]:
@@ -175,12 +177,12 @@ def _cmd_encode(config: RunConfig) -> int:
 
 def _cmd_metrics(config: RunConfig) -> int:
     _require(config, "out")
-    seq = _load_tokenizer_inputs(config)
-    mv = metric_vector(seq, config.truncation_bound)
+    table, name = _count_tokenizer_inputs(config)
+    mv = metric_vector_from_table(table, config.truncation_bound)
     payload = metric_vector_to_dict(
         mv,
         truncation_bound=config.truncation_bound,
-        tokenizer=seq.source_tokenizer or config.tokenizer_name or "unknown",
+        tokenizer=name or "unknown",
         language=config.language or "unknown",
     )
     payload["metadata"] = _metadata(config)
@@ -190,8 +192,7 @@ def _cmd_metrics(config: RunConfig) -> int:
 
 def _cmd_export_curve(config: RunConfig) -> int:
     _require(config, "tokens", "out")
-    seq = load_token_stream(config.tokens)
-    counts = ranked_counts(count_frequencies(seq))
+    counts = ranked_counts(count_token_file(config.tokens))
     with Path(config.out).open("w", encoding="utf-8", newline="") as fh:
         fh.write(_comment_line(config) + "\n")
         writer = csv.writer(fh)
@@ -340,10 +341,7 @@ def _cmd_gen_zipf(config: RunConfig) -> int:
     seq = generate_zipf_stream(
         config.n_tokens, config.n_types, config.exponent, config.seed
     )
-    with Path(config.out).open("w", encoding="utf-8") as fh:
-        fh.write(_comment_line(config) + "\n")
-        fh.write(" ".join(str(t) for t in seq.tokens.tolist()))
-        fh.write("\n")
+    save_token_stream(seq, config.out, header=json.dumps(_metadata(config), sort_keys=True))
     return 0
 
 

@@ -1,14 +1,24 @@
 """Corpus, token-stream, and downstream-score ingestion.
 
 All loaded values are plain frozen dataclasses, immutable after
-construction. Token streams are decimal ASCII integers so files stay
-inspectable; lines starting with "#" are treated as comments.
+construction.
+
+Token files are text, so they stay inspectable. An entry is a run of
+ASCII digits, entries are separated by ASCII whitespace (space, tab,
+LF, CR, VT, FF), and a line whose first non-blank byte is "#" is a
+comment. Any other byte, a "#" after an entry included, is an error
+that names the file and the entry; so is an id above 2**63 - 1.
+`read_token_blocks` parses a file in fixed-size binary blocks with
+vectorized numpy, so a caller that folds the blocks (such as
+`zipf_metrics.count_token_file`) needs memory for one block only.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -24,6 +34,21 @@ FIXTURE_COLUMNS = ("tokenizer", "scale", "language", "direction", "metricx", "ch
 # MT scores bundled with the package (six public tokenizers, two model
 # scales, four language pairs, both translation directions).
 BUNDLED_SCORES = "wmt21_mt_scores.csv"
+
+# Token files are read this many bytes at a time and written this many ids
+# per write call, which bounds the memory a file costs beyond its ids.
+READ_BLOCK_BYTES = 1 << 20
+WRITE_BLOCK_TOKENS = 1 << 20
+
+_WHITESPACE = b" \t\n\r\v\f"
+_LINE_BREAKS = b"\n\r\v\f"
+# A line break and the comment line after it; the reader puts a line break
+# before a block that starts a line, so the first line of a file needs no \A.
+_COMMENT_LINE = re.compile(rb"([\n\r\v\f])[ \t]*#[^\n\r\v\f]*")
+_INT64_MAX = np.iinfo(np.int64).max
+_MAX_DIGITS = len(str(_INT64_MAX))  # 19: wider values never fit in int64
+# Where the line open at a block cut stands.
+_BLANK, _CONTENT, _COMMENT = range(3)
 
 
 @dataclass(frozen=True)
@@ -140,34 +165,132 @@ def load_corpus(path, format: str = "plaintext-lines") -> list[Document]:
     return docs
 
 
-def load_token_stream(path, name: str | None = None) -> TokenSequence:
-    """Read whitespace-separated non-negative integers as a TokenSequence."""
+def read_token_blocks(path) -> Iterator[np.ndarray]:
+    """Yield the ids of a token file as int64 arrays, one per block read.
+
+    The file is read READ_BLOCK_BYTES at a time and each block is cut
+    after its last whitespace byte, so no entry straddles two blocks.
+    Malformed entries raise ValueError naming the file and the entry's
+    1-based number in the whole file.
+    """
     path = Path(path)
-    body = "\n".join(
-        line for line in path.read_text(encoding="utf-8").splitlines()
-        if not line.lstrip().startswith("#")
-    )
-    tokens = []
-    for offset, entry in enumerate(body.split(), start=1):
+    state, carry, entries = _BLANK, b"", 0
+    with path.open("rb") as fh:
+        while True:
+            chunk = fh.read(READ_BLOCK_BYTES)
+            data = carry + chunk
+            cut = max(map(data.rfind, _WHITESPACE)) + 1 if chunk else len(data)
+            head, carry = data[:cut], data[cut:]
+            head, state = _strip_comments(head, state)
+            ids = _parse_block(head)
+            if ids is None:
+                raise ValueError(f"{path}: {_first_bad_entry(head, entries)}")
+            entries += len(ids)
+            if len(ids):
+                yield ids
+            if not chunk:
+                return
+
+
+def _strip_comments(head: bytes, state: int) -> tuple[bytes, int]:
+    """Drop the comment lines of a block; also return the state at its end.
+
+    `state` says where the line open at the start of the block stands.
+    """
+    if state == _COMMENT:
+        breaks = [i for i in map(head.find, _LINE_BREAKS) if i >= 0]
+        if not breaks:
+            return b"", _COMMENT
+        head = head[min(breaks) :]
+    elif state == _BLANK:
+        head = b"\n" + head
+    last_break = max(map(head.rfind, _LINE_BREAKS))
+    if last_break < 0:  # a line with content runs through the whole block
+        state = _CONTENT
+    else:
+        last_line = head[last_break + 1 :].lstrip(b" \t")
+        if not last_line:
+            state = _BLANK
+        else:
+            state = _COMMENT if last_line.startswith(b"#") else _CONTENT
+    if b"#" in head:
+        head = _COMMENT_LINE.sub(rb"\1", head)
+    return head, state
+
+
+def _parse_block(head: bytes) -> np.ndarray | None:
+    """The ids of a comment-free block, or None if any entry is malformed."""
+    # With whitespace at both ends every digit run starts and ends inside
+    # the array, and the byte just left of each run has digit value 0.
+    raw = np.frombuffer(b" " + head + b" ", dtype=np.uint8)
+    digits = raw - np.uint8(ord("0"))  # wraps, so only "0".."9" fall below 10
+    is_digit = digits < 10
+    # Whitespace is the space and bytes 9..13 (\t \n \v \f \r).
+    if not (is_digit | (raw == ord(" ")) | (raw - np.uint8(9) < 5)).all():
+        return None
+    digits *= is_digit
+    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    if not len(starts):
+        return np.zeros(0, dtype=np.int64)
+    lengths = ends - starts
+    longest = int(lengths.max())
+    # Sum over right-aligned digit columns; column k of a run shorter than
+    # k + 1 reads the whitespace before it. 19 digits always fit in uint64.
+    last, before = ends - 1, starts - 1
+    values = np.zeros(len(starts), dtype=np.uint64)
+    for k in range(min(longest, _MAX_DIGITS)):
+        values += digits[np.maximum(last - k, before)] * np.uint64(10**k)
+    if longest >= _MAX_DIGITS:
+        if (values > np.uint64(_INT64_MAX)).any():
+            return None
+        if longest > _MAX_DIGITS:
+            # Leading zeros are allowed; any other digit left of the last
+            # 19 puts the id out of range.
+            nonzero = np.concatenate(([0], np.cumsum(digits > 0)))
+            wide = lengths > _MAX_DIGITS
+            if (nonzero[ends[wide] - _MAX_DIGITS] > nonzero[starts[wide]]).any():
+                return None
+    return values.astype(np.int64)
+
+
+def _first_bad_entry(head: bytes, entries_before: int) -> str:
+    """Name the first malformed entry of a block that failed to parse."""
+    for number, entry in enumerate(head.split(), start=entries_before + 1):
+        if entry.isdigit():
+            if int(entry) > _INT64_MAX:
+                return f"entry {number}: token id {entry.decode()} exceeds the int64 range"
+            continue
+        if entry[:1] == b"-" and entry[1:].isdigit():
+            return f"entry {number}: negative token id {entry.decode()}"
         try:
-            value = int(entry)
-        except ValueError:
-            raise ValueError(f"{path}: entry {offset}: not an integer: {entry!r}") from None
-        if value < 0:
-            raise ValueError(f"{path}: entry {offset}: negative token id {value}")
-        tokens.append(value)
+            shown = repr(entry.decode("utf-8"))
+        except UnicodeDecodeError:
+            shown = f"{entry!r} (invalid UTF-8)"
+        return f"entry {number}: not an integer: {shown}"
+    raise AssertionError("a block that failed to parse has no malformed entry")
+
+
+def load_token_stream(path, name: str | None = None) -> TokenSequence:
+    """Read a token file (grammar in the module docstring) as a TokenSequence."""
+    path = Path(path)
+    blocks = list(read_token_blocks(path))
     return TokenSequence(
-        tokens=np.asarray(tokens, dtype=np.int64),
+        tokens=np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64),
         source_tokenizer=name if name is not None else path.stem,
     )
 
 
 def save_token_stream(seq: TokenSequence, path, header: str | None = None) -> None:
+    """Write the ids space-separated on one line, after an optional "# header" line."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(f"# {header}\n")
-        fh.write(" ".join(str(t) for t in seq.tokens.tolist()))
+        for lo in range(0, len(seq.tokens), WRITE_BLOCK_TOKENS):
+            if lo:
+                fh.write(" ")
+            fh.write(" ".join(map(str, seq.tokens[lo : lo + WRITE_BLOCK_TOKENS].tolist())))
         fh.write("\n")
 
 

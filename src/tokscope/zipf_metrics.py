@@ -15,16 +15,21 @@ before fitting and integration; compression and cardinality always see
 the full stream. The area is computed by composite Simpson quadrature
 on a uniform resampling of the piecewise-linear curve, which makes it
 invariant to how the original ranks happen to be spaced.
+
+All five depend on a stream only through its count table, so
+`metric_vector_from_table` takes the table, and `count_token_file`
+builds it from a token file block by block without holding the stream.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus_io import TokenSequence
+from .corpus_io import TokenSequence, read_token_blocks
 from .stats import ols_fit, simpson_integrate
 
 DEFAULT_TRUNCATION_BOUND = 6.0
@@ -103,10 +108,40 @@ class MetricVector:
 def count_frequencies(seq: TokenSequence) -> TokenFrequencyTable:
     if len(seq) == 0:
         raise ValueError("cannot count frequencies of an empty stream")
-    ids, counts = np.unique(seq.tokens, return_counts=True)
+    return _table(*np.unique(seq.tokens, return_counts=True))
+
+
+def count_blocks(blocks: Iterable[np.ndarray], source: str) -> TokenFrequencyTable:
+    """Count a stream given as consecutive blocks of ids.
+
+    Each block's counts are folded into a running sorted (ids, counts)
+    table in int64, so memory is O(largest block + vocabulary) however
+    long the stream is. `source` names the stream in the error raised
+    when it holds no token.
+    """
+    ids, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    for block in blocks:
+        new_ids, new_counts = np.unique(block, return_counts=True)
+        at = np.searchsorted(ids, new_ids)
+        seen = at < len(ids)
+        seen[seen] = ids[at[seen]] == new_ids[seen]
+        counts[at[seen]] += new_counts[seen]
+        fresh = ~seen
+        ids = np.insert(ids, at[fresh], new_ids[fresh])
+        counts = np.insert(counts, at[fresh], new_counts[fresh])
+    if not len(ids):
+        raise ValueError(f"{source}: cannot count frequencies of an empty stream")
+    return _table(ids, counts)
+
+
+def count_token_file(path) -> TokenFrequencyTable:
+    """Count a token file block by block, never holding the whole stream."""
+    return count_blocks(read_token_blocks(path), str(path))
+
+
+def _table(ids: np.ndarray, counts: np.ndarray) -> TokenFrequencyTable:
     return TokenFrequencyTable(
-        counts={int(i): int(c) for i, c in zip(ids, counts)},
-        total=int(len(seq)),
+        counts=dict(zip(ids.tolist(), counts.tolist())), total=int(counts.sum())
     )
 
 
@@ -179,11 +214,18 @@ def metric_vector(
     truncation_bound: float = DEFAULT_TRUNCATION_BOUND,
 ) -> MetricVector:
     """All five metrics of a stream; fit and area use the truncated curve."""
-    table = count_frequencies(seq)
+    return metric_vector_from_table(count_frequencies(seq), truncation_bound)
+
+
+def metric_vector_from_table(
+    table: TokenFrequencyTable,
+    truncation_bound: float = DEFAULT_TRUNCATION_BOUND,
+) -> MetricVector:
+    """All five metrics of the stream a count table describes."""
     curve = rank_frequency_curve(table, truncation_bound)
     fit = zipf_fit(curve)
     return MetricVector(
-        compression=compression(seq),
+        compression=table.total,
         cardinality=cardinality(table),
         auc=auc(curve),
         slope=fit.beta1,

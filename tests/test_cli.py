@@ -154,6 +154,41 @@ class TestMetricsCommand:
         assert data["tokenizer"] == "vocab"
 
 
+    def test_corpus_counts_match_the_encoded_stream(self, tmp_path, trained_bpe):
+        _, vocab_path, merges_path = trained_bpe
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("the dog saw the fox\nthe fox ran away\nno\n", encoding="utf-8")
+        stream = tmp_path / "s.txt"
+        assert cli("encode", "--vocab", vocab_path, "--merges", merges_path,
+                   "--corpus", corpus, "--out", stream) == 0
+        out_corpus, out_tokens = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli("metrics", "--vocab", vocab_path, "--merges", merges_path,
+                   "--corpus", corpus, "--out", out_corpus) == 0
+        assert cli("metrics", "--tokens", stream, "--out", out_tokens) == 0
+        a = json.loads(out_corpus.read_text(encoding="utf-8"))
+        b = json.loads(out_tokens.read_text(encoding="utf-8"))
+        assert {n: a[n] for n in METRIC_NAMES} == {n: b[n] for n in METRIC_NAMES}
+
+
+@pytest.mark.parametrize("command", ["metrics", "export-curve"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"1 2 99999999999999999999 3\n",
+         "entry 3: token id 99999999999999999999 exceeds the int64 range"),
+        (b"1 \xff\xfe 3\n", "entry 2: not an integer: b'\\xff\\xfe' (invalid UTF-8)"),
+        (b"# comments only\n\n", "cannot count frequencies of an empty stream"),
+    ],
+    ids=["overflow", "utf-8", "empty"],
+)
+def test_bad_token_file_fails_located(tmp_path, capsys, command, content, message):
+    stream = tmp_path / "s.txt"
+    stream.write_bytes(content)
+    assert cli(command, "--tokens", stream, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"tokscope: error: {stream}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestExportCurve:
     def test_header_and_log_columns(self, tmp_path):
         stream = tmp_path / "s.txt"

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tokscope import corpus_io
 from tokscope import (
     DIRECTIONS,
     DownstreamFixture,
@@ -90,6 +96,60 @@ class TestLoadCorpus:
             load_corpus(path, format="parquet")
 
 
+def old_parser(text: str) -> tuple[list[int] | None, int | None]:
+    """The line-and-split loop load_token_stream used before it parsed in
+    numpy blocks, with int() narrowed to the ASCII-digit grammar.
+
+    Returns (ids, None) for a well-formed file and (None, number) when
+    entry `number` is malformed.
+    """
+    body = "\n".join(
+        line for line in text.splitlines() if not line.lstrip().startswith("#")
+    )
+    tokens = []
+    for offset, entry in enumerate(body.split(), start=1):
+        if not (entry.isascii() and entry.isdigit()):
+            return None, offset
+        tokens.append(int(entry))
+    return tokens, None
+
+
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f"]
+BLANKS = st.text(alphabet=" \t", max_size=3)
+ID = st.integers(0, 2**63 - 1)  # up to 19 digits
+ENTRY_LINE = st.tuples(BLANKS, st.lists(st.tuples(ID, st.sampled_from([" ", "\t", "  \t"])), max_size=8))
+COMMENT_LINE = st.tuples(BLANKS, st.text(alphabet=" \t#0123456789abc", max_size=12)).map(
+    lambda t: f"{t[0]}#{t[1]}"
+)
+BAD_ENTRIES = ["two", "-1", "+2", "3_0", "#x", "\u0663"]
+
+
+@st.composite
+def token_files(draw):
+    """Token-file text: entry, comment and blank lines under mixed line breaks,
+    with at most one malformed entry placed after a well-formed one."""
+    lines = draw(st.lists(st.one_of(ENTRY_LINE, COMMENT_LINE, BLANKS), max_size=8))
+    bad = draw(st.none() | st.sampled_from(BAD_ENTRIES))
+    if bad is not None:
+        entry_lines = [i for i, line in enumerate(lines) if isinstance(line, tuple) and line[1]]
+        if entry_lines:
+            i = draw(st.sampled_from(entry_lines))
+            indent, entries = lines[i]
+            at = draw(st.integers(1, len(entries)))
+            lines[i] = (indent, entries[:at] + [(bad, " ")] + entries[at:])
+        else:
+            lines.append(("", [(7, " "), (bad, " ")]))
+    texts = [
+        line if isinstance(line, str) else line[0] + "".join(f"{e}{sep}" for e, sep in line[1])
+        for line in lines
+    ]
+    breaks = draw(st.lists(st.sampled_from(BREAKS), min_size=len(texts), max_size=len(texts)))
+    text = "".join(t + b for t, b in zip(texts, breaks))
+    if draw(st.booleans()):  # no line break, or whitespace, at the end of the file
+        text = text.rstrip()
+    return text
+
+
 class TestTokenStreams:
     def test_whitespace_and_newline_separated(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -115,11 +175,58 @@ class TestTokenStreams:
         with pytest.raises(ValueError, match="entry 2"):
             load_token_stream(path)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"1 2 99999999999999999999 3", "entry 3: token id 99999999999999999999 exceeds the int64 range"),
+            (b"9223372036854775807 9223372036854775808", "entry 2: token id 9223372036854775808 exceeds"),
+            (b"5 0100000000000000000000", "entry 2: token id 0100000000000000000000 exceeds"),
+            (b"1 \xff\xfe 3\n", "entry 2: not an integer: b'\\xff\\xfe' (invalid UTF-8)"),
+            (b"4 -1 2", "entry 2: negative token id -1"),
+            (b"4 +2", "entry 2: not an integer: '+2'"),
+            (b"4 3_0", "entry 2: not an integer: '3_0'"),
+            (b"4 \xd9\xa3", "entry 2: not an integer: '\u0663'"),
+            (b"# header\n4 5 #x\n", "entry 3: not an integer: '#x'"),
+        ],
+    )
+    def test_malformed_entry_located(self, tmp_path, content, message):
+        path = tmp_path / "s.txt"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_token_stream(path)
+
+    def test_ids_at_the_int64_edge(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"0000000000000000000000000012 9223372036854775807 0\n")
+        assert load_token_stream(path).tokens.tolist() == [12, 2**63 - 1, 0]
+
+    def test_comments_only_is_an_empty_stream(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("# header\n\n   \n\t# another\n", encoding="utf-8")
+        assert len(load_token_stream(path)) == 0
+
+    @given(token_files(), st.integers(1, 16))
+    def test_block_parse_matches_old_parser(self, text, block_bytes):
+        ids, bad_entry = old_parser(text)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "stream.txt"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(corpus_io, "READ_BLOCK_BYTES", block_bytes):
+                if bad_entry is None:
+                    assert load_token_stream(path).tokens.tolist() == ids
+                else:
+                    with pytest.raises(ValueError, match=re.escape(f"{path}: entry {bad_entry}: ")):
+                        load_token_stream(path)
+
+    def test_writer_blocks_join_into_one_line(self, tmp_path):
+        tokens = np.arange(7, dtype=np.int64) * 11
+        path = tmp_path / "s.txt"
+        with mock.patch.object(corpus_io, "WRITE_BLOCK_TOKENS", 3):
+            save_token_stream(TokenSequence(tokens=tokens), path, header="h")
+        assert path.read_text(encoding="utf-8") == "# h\n0 11 22 33 44 55 66\n"
+
     @given(st.lists(st.integers(0, 2**31), min_size=0, max_size=200))
     def test_save_load_round_trip(self, tokens):
-        import tempfile
-        from pathlib import Path
-
         seq = TokenSequence(tokens=np.asarray(tokens, dtype=np.int64), source_tokenizer="t")
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "stream.txt"

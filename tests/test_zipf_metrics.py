@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tokscope import corpus_io
 from tokscope import (
     DEFAULT_TRUNCATION_BOUND,
     METRIC_NAMES,
@@ -29,14 +34,19 @@ from tokscope import (
     cardinality,
     compression,
     count_frequencies,
+    count_token_file,
+    generate_zipf_stream,
+    load_token_stream,
     metadata_block,
     metric_vector,
     metric_vector_from_dict,
+    metric_vector_from_table,
     metric_vector_to_dict,
     rank_frequency_curve,
     ranked_counts,
     zipf_fit,
     power_law_deviation,
+    save_token_stream,
 )
 
 
@@ -78,6 +88,41 @@ class TestCounting:
     def test_ranked_counts_descending(self):
         table = table_from_counts({3: 2, 1: 2, 2: 5})
         assert ranked_counts(table).tolist() == [5, 2, 2]
+
+
+class TestCountTokenFile:
+    @given(
+        st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 40), max_size=300),
+        st.integers(1, 64),
+    )
+    def test_matches_unique_of_the_loaded_stream(self, tokens, block_bytes):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "stream.txt"
+            save_token_stream(seq(tokens), path, header="h")
+            with mock.patch.object(corpus_io, "READ_BLOCK_BYTES", block_bytes):
+                loaded = load_token_stream(path).tokens
+                if not tokens:
+                    with pytest.raises(ValueError, match="empty stream"):
+                        count_token_file(path)
+                    return
+                table = count_token_file(path)
+        ids, counts = np.unique(loaded, return_counts=True)
+        assert table.counts == dict(zip(ids.tolist(), counts.tolist()))
+        assert table.total == len(tokens)
+
+    def test_empty_stream_names_the_file(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("# header only\n\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match=re.escape(f"{path}: cannot count frequencies of an empty stream")
+        ):
+            count_token_file(path)
+
+    def test_malformed_entry_names_the_file(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("1 2 99999999999999999999 3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: entry 3: token id")):
+            count_token_file(path)
 
 
 class TestCurve:
@@ -179,6 +224,18 @@ class TestMetricVector:
         assert mv.slope == pytest.approx(-1.0, abs=1e-12)
         assert mv.power_law == pytest.approx(0.0, abs=1e-12)
         assert mv.auc == pytest.approx(math.log(2) ** 2 / 2, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_tokens, exponent", [(1_000_000, 1.0), (1_000, 0.0)], ids=["ideal", "flat"]
+    )
+    def test_from_table_equals_from_stream(self, tmp_path, n_tokens, exponent):
+        # The two streams of acceptance criterion 3, written to disk.
+        path = tmp_path / "zipf.txt"
+        save_token_stream(generate_zipf_stream(n_tokens, 403, exponent, seed=0), path)
+        from_table = metric_vector_from_table(count_token_file(path))
+        from_stream = metric_vector(load_token_stream(path))
+        for name in METRIC_NAMES:
+            assert getattr(from_table, name) == getattr(from_stream, name), name
 
     def test_as_features_order_and_names(self):
         mv = metric_vector(seq([5, 1, 5]))
