@@ -144,7 +144,9 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
     if config.tokens is not None:
         if config.vocab is not None or config.corpus is not None:
             raise ValueError("--tokens conflicts with --vocab/--merges/--corpus")
-        name = config.tokenizer_name if config.tokenizer_name is not None else config.tokens.stem
+        name = config.tokenizer_name
+        if name is None:
+            name = Path(config.tokens).stem
         return count_token_file(config.tokens), name
     _require(config, "vocab", "merges", "corpus")
     tokenizer = bpe_mod.load_bpe(config.vocab, config.merges)

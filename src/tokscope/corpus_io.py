@@ -166,7 +166,8 @@ def load_corpus(path, format: str = "plaintext-lines") -> list[Document]:
 
 
 def read_token_blocks(path) -> Iterator[np.ndarray]:
-    """Yield the ids of a token file as int64 arrays, one per block read.
+    """Yield the ids of a token file as int64 arrays, one per block read
+    (at least one, possibly empty).
 
     The file is read READ_BLOCK_BYTES at a time and each block is cut
     after its last whitespace byte, so no entry straddles two blocks.
@@ -186,8 +187,7 @@ def read_token_blocks(path) -> Iterator[np.ndarray]:
             if ids is None:
                 raise ValueError(f"{path}: {_first_bad_entry(head, entries)}")
             entries += len(ids)
-            if len(ids):
-                yield ids
+            yield ids
             if not chunk:
                 return
 
@@ -231,10 +231,8 @@ def _parse_block(head: bytes) -> np.ndarray | None:
     digits *= is_digit
     edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
     starts, ends = edges[0::2], edges[1::2]
-    if not len(starts):
-        return np.zeros(0, dtype=np.int64)
     lengths = ends - starts
-    longest = int(lengths.max())
+    longest = int(lengths.max(initial=0))
     # Sum over right-aligned digit columns; column k of a run shorter than
     # k + 1 reads the whitespace before it. 19 digits always fit in uint64.
     last, before = ends - 1, starts - 1
@@ -274,9 +272,8 @@ def _first_bad_entry(head: bytes, entries_before: int) -> str:
 def load_token_stream(path, name: str | None = None) -> TokenSequence:
     """Read a token file (grammar in the module docstring) as a TokenSequence."""
     path = Path(path)
-    blocks = list(read_token_blocks(path))
     return TokenSequence(
-        tokens=np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64),
+        tokens=np.concatenate(list(read_token_blocks(path))),
         source_tokenizer=name if name is not None else path.stem,
     )
 

@@ -117,7 +117,8 @@ def old_parser(text: str) -> tuple[list[int] | None, int | None]:
 BREAKS = ["\n", "\r\n", "\r", "\v", "\f"]
 BLANKS = st.text(alphabet=" \t", max_size=3)
 ID = st.integers(0, 2**63 - 1)  # up to 19 digits
-ENTRY_LINE = st.tuples(BLANKS, st.lists(st.tuples(ID, st.sampled_from([" ", "\t", "  \t"])), max_size=8))
+SEPARATOR = st.sampled_from([" ", "\t", "  \t"])
+ENTRY_LINE = st.tuples(BLANKS, st.lists(st.tuples(ID, SEPARATOR), max_size=8))
 COMMENT_LINE = st.tuples(BLANKS, st.text(alphabet=" \t#0123456789abc", max_size=12)).map(
     lambda t: f"{t[0]}#{t[1]}"
 )
@@ -178,8 +179,10 @@ class TestTokenStreams:
     @pytest.mark.parametrize(
         "content, message",
         [
-            (b"1 2 99999999999999999999 3", "entry 3: token id 99999999999999999999 exceeds the int64 range"),
-            (b"9223372036854775807 9223372036854775808", "entry 2: token id 9223372036854775808 exceeds"),
+            (b"1 2 99999999999999999999 3",
+             "entry 3: token id 99999999999999999999 exceeds the int64 range"),
+            (b"9223372036854775807 9223372036854775808",
+             "entry 2: token id 9223372036854775808 exceeds"),
             (b"5 0100000000000000000000", "entry 2: token id 0100000000000000000000 exceeds"),
             (b"1 \xff\xfe 3\n", "entry 2: not an integer: b'\\xff\\xfe' (invalid UTF-8)"),
             (b"4 -1 2", "entry 2: negative token id -1"),
