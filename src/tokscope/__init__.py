@@ -21,7 +21,6 @@ from .corpus_io import (
     load_corpus,
     load_downstream_fixture,
     load_token_stream,
-    read_token_blocks,
     save_downstream_fixture,
     save_token_stream,
 )
@@ -46,7 +45,6 @@ from .zipf_metrics import (
     auc,
     cardinality,
     compression,
-    count_blocks,
     count_frequencies,
     count_token_file,
     metadata_block,
@@ -98,13 +96,12 @@ __all__ = [
     "DIRECTIONS", "LANGUAGES", "SCALES",
     "Document", "DownstreamFixture", "ScoreEntry", "TokenSequence",
     "load_bundled_fixture", "load_corpus", "load_downstream_fixture",
-    "load_token_stream", "read_token_blocks", "save_downstream_fixture",
-    "save_token_stream",
+    "load_token_stream", "save_downstream_fixture", "save_token_stream",
     "BpeTokenizer", "Vocabulary", "byte_to_unicode", "decode", "encode",
     "load_bpe", "pretokenize",
     "DEFAULT_TRUNCATION_BOUND", "LOG_BASE", "METRIC_NAMES", "SIMPSON_GRID",
     "MetricVector", "RankFrequencyCurve", "TokenFrequencyTable", "ZipfFit",
-    "auc", "cardinality", "compression", "count_blocks", "count_frequencies",
+    "auc", "cardinality", "compression", "count_frequencies",
     "count_token_file", "metadata_block", "metric_vector", "metric_vector_from_dict",
     "metric_vector_from_table",
     "metric_vector_to_dict", "power_law_deviation", "rank_frequency_curve",

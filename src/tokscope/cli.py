@@ -138,8 +138,8 @@ def _require(config: RunConfig, *names: str) -> None:
 def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str]:
     """The count table of a token stream and the tokenizer's name.
 
-    The stream is either a token file or a corpus encoded here; neither
-    is held whole in memory.
+    The stream is either a token file, counted block by block, or a
+    corpus encoded here and counted once as a whole.
     """
     if config.tokens is not None:
         if config.vocab is not None or config.corpus is not None:
@@ -149,11 +149,20 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
             name = Path(config.tokens).stem
         return count_token_file(config.tokens), name
     _require(config, "vocab", "merges", "corpus")
+    name = config.tokenizer_name or Path(config.vocab).stem
+    return count_blocks([_encode_corpus(config)], str(config.corpus)), name
+
+
+def _encode_corpus(config: RunConfig) -> np.ndarray:
+    """The ids of every document of --corpus, concatenated.
+
+    The documents and their per-document ids are freed on return, before
+    the stream is counted.
+    """
     tokenizer = bpe_mod.load_bpe(config.vocab, config.merges)
     docs = load_corpus(config.corpus, config.corpus_format)
-    name = config.tokenizer_name or Path(config.vocab).stem
     sequences = _encode_documents(tokenizer, [d.text for d in docs], config.threads)
-    return count_blocks((s.tokens for s in sequences), str(config.corpus)), name
+    return np.concatenate([np.zeros(0, dtype=np.int64), *(s.tokens for s in sequences)])
 
 
 def _encode_documents(tokenizer, texts, threads: int) -> list[TokenSequence]:

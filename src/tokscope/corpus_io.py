@@ -47,6 +47,7 @@ _LINE_BREAKS = b"\n\r\v\f"
 _COMMENT_LINE = re.compile(rb"([\n\r\v\f])[ \t]*#[^\n\r\v\f]*")
 _INT64_MAX = np.iinfo(np.int64).max
 _MAX_DIGITS = len(str(_INT64_MAX))  # 19: wider values never fit in int64
+_SHOWN_CHARS = 40  # error messages cut a longer entry to this many characters
 # Where the line open at a block cut stands.
 _BLANK, _CONTENT, _COMMENT = range(3)
 
@@ -172,7 +173,9 @@ def read_token_blocks(path) -> Iterator[np.ndarray]:
     The file is read READ_BLOCK_BYTES at a time and each block is cut
     after its last whitespace byte, so no entry straddles two blocks.
     Malformed entries raise ValueError naming the file and the entry's
-    1-based number in the whole file.
+    1-based number in the whole file; an entry that runs past a block
+    is reported as soon as it cannot be valid, showing what was read of
+    it.
     """
     path = Path(path)
     state, carry, entries = _BLANK, b"", 0
@@ -187,6 +190,19 @@ def read_token_blocks(path) -> Iterator[np.ndarray]:
             if ids is None:
                 raise ValueError(f"{path}: {_first_bad_entry(head, entries)}")
             entries += len(ids)
+            # The carry continues the open line. Keep it short, so that a
+            # long run with no whitespace costs linear time: a comment is
+            # dropped, and an entry longer than a block is valid only as
+            # leading zeros and at most 19 further digits.
+            if state == _BLANK and carry.startswith(b"#"):
+                state = _COMMENT
+            if state == _COMMENT:
+                carry = b""
+            elif len(carry) > READ_BLOCK_BYTES:
+                significant = carry.lstrip(b"0")
+                if not carry.isdigit() or len(significant) > _MAX_DIGITS:
+                    raise ValueError(f"{path}: {_first_bad_entry(carry, entries)}")
+                carry = significant or b"0"
             yield ids
             if not chunk:
                 return
@@ -256,17 +272,22 @@ def _first_bad_entry(head: bytes, entries_before: int) -> str:
     """Name the first malformed entry of a block that failed to parse."""
     for number, entry in enumerate(head.split(), start=entries_before + 1):
         if entry.isdigit():
-            if int(entry) > _INT64_MAX:
-                return f"entry {number}: token id {entry.decode()} exceeds the int64 range"
-            continue
+            if len(entry.lstrip(b"0")) <= _MAX_DIGITS and int(entry) <= _INT64_MAX:
+                continue
+            return f"entry {number}: token id {_shown(entry.decode())} exceeds the int64 range"
         if entry[:1] == b"-" and entry[1:].isdigit():
-            return f"entry {number}: negative token id {entry.decode()}"
+            return f"entry {number}: negative token id {_shown(entry.decode())}"
         try:
-            shown = repr(entry.decode("utf-8"))
+            shown = _shown(repr(entry.decode("utf-8")))
         except UnicodeDecodeError:
-            shown = f"{entry!r} (invalid UTF-8)"
+            shown = f"{_shown(repr(entry))} (invalid UTF-8)"
         return f"entry {number}: not an integer: {shown}"
     raise AssertionError("a block that failed to parse has no malformed entry")
+
+
+def _shown(text: str) -> str:
+    """`text` cut to _SHOWN_CHARS characters, ending in "..." if it was cut."""
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
 def load_token_stream(path, name: str | None = None) -> TokenSequence:

@@ -114,24 +114,45 @@ def count_frequencies(seq: TokenSequence) -> TokenFrequencyTable:
 def count_blocks(blocks: Iterable[np.ndarray], source: str) -> TokenFrequencyTable:
     """Count a stream given as consecutive blocks of ids.
 
-    Each block's counts are folded into a running sorted (ids, counts)
-    table in int64, so memory is O(largest block + vocabulary) however
-    long the stream is. `source` names the stream in the error raised
-    when it holds no token.
+    Each block's counts are added in int64 to a running sorted (ids,
+    counts) table. Ids the table lacks wait in a list, which is sorted
+    into the table once it holds more ids than the table does, so the
+    table is copied O(log vocabulary) times however many blocks there
+    are. Memory is O(largest block + vocabulary) however long the stream
+    is. `source` names the stream in the error raised when it holds no
+    token.
     """
     ids, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    waiting, n_waiting = [], 0
     for block in blocks:
         new_ids, new_counts = np.unique(block, return_counts=True)
         at = np.searchsorted(ids, new_ids)
         seen = at < len(ids)
         seen[seen] = ids[at[seen]] == new_ids[seen]
         counts[at[seen]] += new_counts[seen]
-        fresh = ~seen
-        ids = np.insert(ids, at[fresh], new_ids[fresh])
-        counts = np.insert(counts, at[fresh], new_counts[fresh])
+        if not seen.all():
+            waiting.append((new_ids[~seen], new_counts[~seen]))
+            n_waiting += len(waiting[-1][0])
+            if n_waiting > len(ids):
+                ids, counts = _add_new_ids(ids, counts, waiting)
+                waiting, n_waiting = [], 0
+    if waiting:
+        ids, counts = _add_new_ids(ids, counts, waiting)
     if not len(ids):
         raise ValueError(f"{source}: cannot count frequencies of an empty stream")
     return _table(ids, counts)
+
+
+def _add_new_ids(ids, counts, waiting):
+    """Sort (ids, counts) pairs whose ids a sorted table lacks into it."""
+    new_ids = np.concatenate([w[0] for w in waiting])
+    order = np.argsort(new_ids)
+    new_ids = new_ids[order]
+    first = np.flatnonzero(np.concatenate(([True], new_ids[1:] != new_ids[:-1])))
+    new_counts = np.add.reduceat(np.concatenate([w[1] for w in waiting])[order], first)
+    new_ids = new_ids[first]
+    at = np.searchsorted(ids, new_ids)
+    return np.insert(ids, at, new_ids), np.insert(counts, at, new_counts)
 
 
 def count_token_file(path) -> TokenFrequencyTable:

@@ -221,6 +221,45 @@ class TestTokenStreams:
                     with pytest.raises(ValueError, match=re.escape(f"{path}: entry {bad_entry}: ")):
                         load_token_stream(path)
 
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            (b"1\n#" + b"a" * 2000 + b"\n5 6", [1, 5, 6]),
+            (b"1\n \t#" + b"a" * 2000 + b" b" * 50 + b"\r\n5", [1, 5]),
+            (b"1 " + b"0" * 2000 + b"7 8", [1, 7, 8]),
+            (b"1 " + b"0" * 2000, [1, 0]),
+            (b"1 2 " + b"x" * 2000 + b" 9", "entry 3: not an integer: 'xxxx"),
+            (b"1 " + b"0" * 2000 + b"1" * 20, "entry 2: token id "),
+            (b"1 -" + b"0" * 2000, "entry 2: negative token id -0000"),
+            (b"1 #" + b"a" * 2000, "entry 2: not an integer: '#aaa"),
+        ],
+        ids=["comment", "indented-comment", "leading-zeros", "zeros", "not-an-integer",
+             "overflow", "negative", "mid-line-hash"],
+    )
+    def test_long_run_without_whitespace(self, tmp_path, content, expected):
+        # However long a run with no whitespace is, the reader keeps at
+        # most one block of it between reads.
+        path = tmp_path / "s.txt"
+        path.write_bytes(content)
+        block = 8
+        with mock.patch.object(corpus_io, "READ_BLOCK_BYTES", block), mock.patch.object(
+            corpus_io, "_strip_comments", wraps=corpus_io._strip_comments
+        ) as strip:
+            if isinstance(expected, list):
+                assert load_token_stream(path).tokens.tolist() == expected
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"{path}: {expected}")):
+                    load_token_stream(path)
+        assert max(len(call.args[0]) for call in strip.call_args_list) <= 2 * block
+
+    def test_long_entries_are_cut_in_messages(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"1 " + b"1" * 5000 + b" 2")  # past int()'s 4300-digit limit
+        with pytest.raises(
+            ValueError, match=re.escape(f"{path}: entry 2: token id {'1' * 40}... exceeds")
+        ):
+            load_token_stream(path)
+
     def test_writer_blocks_join_into_one_line(self, tmp_path):
         tokens = np.arange(7, dtype=np.int64) * 11
         path = tmp_path / "s.txt"

@@ -22,6 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tokscope import corpus_io
+from tokscope.zipf_metrics import count_blocks
 from tokscope import (
     DEFAULT_TRUNCATION_BOUND,
     METRIC_NAMES,
@@ -109,6 +110,25 @@ class TestCountTokenFile:
         ids, counts = np.unique(loaded, return_counts=True)
         assert table.counts == dict(zip(ids.tolist(), counts.tolist()))
         assert table.total == len(tokens)
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 40), max_size=30), max_size=20
+        )
+    )
+    def test_blocks_fold_to_unique_of_the_stream(self, blocks):
+        # Blocks of mostly new ids and of repeats, in any order, exercise
+        # both the in-place add and the sorting-in of waiting ids.
+        stream = np.array([t for block in blocks for t in block], dtype=np.int64)
+        arrays = [np.array(block, dtype=np.int64) for block in blocks]
+        if not len(stream):
+            with pytest.raises(ValueError, match="^s: cannot count"):
+                count_blocks(arrays, "s")
+            return
+        table = count_blocks(arrays, "s")
+        ids, counts = np.unique(stream, return_counts=True)
+        assert table.counts == dict(zip(ids.tolist(), counts.tolist()))
+        assert table.total == len(stream)
 
     def test_empty_stream_names_the_file(self, tmp_path):
         path = tmp_path / "s.txt"
