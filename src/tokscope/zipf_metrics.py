@@ -116,11 +116,11 @@ def count_blocks(blocks: Iterable[np.ndarray], source: str) -> TokenFrequencyTab
 
     Each block's counts are added in int64 to a running sorted (ids,
     counts) table. Ids the table lacks wait in a list, which is sorted
-    into the table once it holds more ids than the table does, so the
-    table is copied O(log vocabulary) times however many blocks there
-    are. Memory is O(largest block + vocabulary) however long the stream
-    is. `source` names the stream in the error raised when it holds no
-    token.
+    into the table once it holds more entries than the table does, so
+    each copy of the table is paid for by as many new entries, and a
+    vocabulary that keeps growing does not cost a copy per block. Memory
+    is O(largest block + vocabulary) however long the stream is.
+    `source` names the stream in the error raised when it holds no token.
     """
     ids, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     waiting, n_waiting = [], 0
