@@ -6,14 +6,16 @@ first-listed tokenizer has the lower (better) mean MetricX over the two
 translation directions. Three model families are supported, all fit by
 deterministic optimizers so repeated runs are bit-identical:
 
-  logistic     L2-regularized logistic regression, gradient descent
+  logistic     L2-regularized logistic regression, Newton's method
   linear-svm   hinge loss + L2, dual coordinate descent
   rbf-svm      kernel SVM fit by SMO, probabilities via Platt scaling
 
 Features are standardized on the training split; the standardization is
 stored in the model and applied inside predict_pair. Hyperparameters
 come from small fixed grids chosen by stratified k-fold CV on mean F1,
-with ties resolved toward stronger regularization.
+with ties resolved toward stronger regularization. The SVMs calibrate
+Platt scaling on out-of-fold decisions from the fold models that the
+search already fit at the chosen value.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ MODEL_KINDS = ("logistic", "linear-svm", "rbf-svm")
 REGULARIZATION_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 GAMMA_GRID = (0.01, 0.1, 1.0, 10.0)
 
-GD_MAX_ITER = 10_000
-GD_TOL = 1e-8
+NEWTON_MAX_STEPS = 100
+NEWTON_GRAD_TOL = 1e-8
+NEWTON_STEP_TOL = 1e-6
 DCD_TOL = 1e-8
 DCD_MAX_SWEEPS = 100_000
 SMO_TOL = 1e-10
@@ -160,24 +163,37 @@ def _safe_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _cv_mean_f1(X, y, folds, fit_fn, label_fn) -> float:
-    scores = []
+def _fold_fits(X, y, folds, fit_core, args) -> list:
+    """(held-out indices, params) for each nonempty fold, fit on the rest."""
+    fits = []
     for held in folds:
         if len(held) == 0:
             continue
         train = np.setdiff1d(np.arange(len(y)), held)
-        params = fit_fn(X[train], y[train])
-        scores.append(_safe_f1(label_fn(params, X[held]), y[held]))
-    return float(np.mean(scores))
+        fits.append((held, fit_core(X[train], y[train], *args)))
+    return fits
 
 
-def _out_of_fold_decisions(X, y, folds, fit_fn, decision_fn):
-    decisions = np.zeros(len(y))
-    for held in folds:
-        if len(held) == 0:
-            continue
-        train = np.setdiff1d(np.arange(len(y)), held)
-        params = fit_fn(X[train], y[train])
+def _select(X, y, folds, candidates, fit_core, label_fn):
+    """The candidate with the best CV mean F1, and its fold fits.
+
+    Candidates are argument tuples for fit_core, given in tie-break
+    order: only a strictly better score displaces an earlier one.
+    """
+    best_score, best, best_fits = -np.inf, None, None
+    for args in candidates:
+        fits = _fold_fits(X, y, folds, fit_core, args)
+        score = float(np.mean(
+            [_safe_f1(label_fn(params, X[held]), y[held]) for held, params in fits]
+        ))
+        if score > best_score:
+            best_score, best, best_fits = score, args, fits
+    return best, best_fits
+
+
+def _out_of_fold_decisions(X, fold_fits, decision_fn):
+    decisions = np.zeros(len(X))
+    for held, params in fold_fits:
         decisions[held] = decision_fn(params, X[held])
     return decisions
 
@@ -186,30 +202,56 @@ def _out_of_fold_decisions(X, y, folds, fit_fn, decision_fn):
 
 
 def _fit_logistic_core(X, y, lam):
-    """Gradient descent with the 1/L step for the L2-penalized log loss.
+    """Newton's method on the L2-penalized mean log loss.
 
-    The intercept is not penalized. Raises if the gradient norm has not
-    reached tolerance within the iteration cap, which happens e.g. for
-    separable data with lam = 0 (the weights diverge).
+    The intercept is not penalized. Each Newton system is solved by least
+    squares, because at lam = 0 a constant feature leaves the Hessian
+    singular; a step that raises the loss beyond rounding is halved.
+    The fit has converged when both the gradient and the Newton step are
+    small. Separable data with lam = 0 has no optimum: the gradient dies
+    out while the step stays of order one as the weights grow, so such a
+    fit raises after NEWTON_MAX_STEPS.
     """
     mean, scale = _standardization(X)
     Z = (X - mean) / scale
     n, d = Z.shape
     A = np.column_stack([np.ones(n), Z])
-    lipschitz = lam + float(np.linalg.eigvalsh(A.T @ A / (4.0 * n)).max())
-    step = 1.0 / lipschitz
+    penalty = np.full(d + 1, float(lam))
+    penalty[0] = 0.0
+    flip = 1.0 - 2.0 * y  # the loss of example k is softplus(flip[k] * A[k] @ theta)
+
+    def loss(theta):
+        t = flip * (A @ theta)
+        softplus = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
+        return float(np.mean(softplus)) + 0.5 * lam * float(theta[1:] @ theta[1:])
+
     theta = np.zeros(d + 1)
-    for _ in range(GD_MAX_ITER):
+    fval = loss(theta)
+    for _ in range(NEWTON_MAX_STEPS):
         p = _sigmoid(A @ theta)
         grad = A.T @ (p - y) / n
         grad[1:] += lam * theta[1:]
-        if np.linalg.norm(grad) <= GD_TOL:
+        hess = (A.T * (p * (1.0 - p))) @ A / n + np.diag(penalty)
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        if (
+            np.linalg.norm(grad) <= NEWTON_GRAD_TOL
+            and np.linalg.norm(step) <= NEWTON_STEP_TOL
+        ):
             break
-        theta = theta - step * grad
+        shrink = 1.0
+        new_theta = theta - step
+        new_fval = loss(new_theta)
+        # A rise within rounding is no overshoot; halving on it would
+        # only stall a fit that is next to its optimum.
+        while new_fval > fval + 1e-12 * fval and shrink > 1e-10:
+            shrink /= 2.0
+            new_theta = theta - shrink * step
+            new_fval = loss(new_theta)
+        theta, fval = new_theta, new_fval
     else:
         raise RuntimeError(
-            f"logistic fit did not converge in {GD_MAX_ITER} iterations "
-            f"(lam={lam}); the data may be degenerate"
+            f"logistic fit did not converge in {NEWTON_MAX_STEPS} Newton steps "
+            f"(lam={lam}); the data may be separable or degenerate"
         )
     return mean, scale, float(theta[0]), theta[1:]
 
@@ -229,19 +271,12 @@ def fit_logistic(
     X, y = _design(examples)
     _check_two_classes(y)
     if lam is None:
-        folds = _stratified_folds(y, cv_folds)
-        best_score = -np.inf
-        lam = max(REGULARIZATION_GRID)
-        # Strongest regularization first, strict improvement to switch,
-        # so ties keep the stronger choice.
-        for candidate in sorted(REGULARIZATION_GRID, reverse=True):
-            score = _cv_mean_f1(
-                X, y, folds,
-                lambda Xt, yt, c=candidate: _fit_logistic_core(Xt, yt, c),
-                _logistic_labels,
-            )
-            if score > best_score:
-                best_score, lam = score, candidate
+        # Strongest regularization first, so ties keep it.
+        (lam,), _ = _select(
+            X, y, _stratified_folds(y, cv_folds),
+            [(c,) for c in sorted(REGULARIZATION_GRID, reverse=True)],
+            _fit_logistic_core, _logistic_labels,
+        )
     mean, scale, b, w = _fit_logistic_core(X, y, lam)
     return PairwiseModel(
         kind="logistic",
@@ -322,24 +357,15 @@ def fit_linear_svm(
     _check_two_classes(y)
     folds = _stratified_folds(y, cv_folds)
     if C is None:
-        best_score = -np.inf
-        C = min(REGULARIZATION_GRID)
         # Smallest C = strongest regularization; ties keep it.
-        for candidate in sorted(REGULARIZATION_GRID):
-            score = _cv_mean_f1(
-                X, y, folds,
-                lambda Xt, yt, c=candidate: _fit_linear_svm_core(Xt, yt, c),
-                _linear_labels,
-            )
-            if score > best_score:
-                best_score, C = score, candidate
+        (C,), fold_fits = _select(
+            X, y, folds, [(c,) for c in sorted(REGULARIZATION_GRID)],
+            _fit_linear_svm_core, _linear_labels,
+        )
+    else:
+        fold_fits = _fold_fits(X, y, folds, _fit_linear_svm_core, (C,))
     mean, scale, b, w = _fit_linear_svm_core(X, y, C)
-    decisions = _out_of_fold_decisions(
-        X, y, folds,
-        lambda Xt, yt: _fit_linear_svm_core(Xt, yt, C),
-        _linear_decisions,
-    )
-    platt = fit_platt(decisions, y)
+    platt = fit_platt(_out_of_fold_decisions(X, fold_fits, _linear_decisions), y)
     return PairwiseModel(
         kind="linear-svm",
         feature_names=feature_names or _default_names(X),
@@ -372,52 +398,69 @@ def _smo(K, sign, C):
     Returns the dual coefficients and intercept.
     """
     n = len(sign)
-    alpha = np.zeros(n)
+    alpha = [0.0] * n  # scalar work is on Python floats, the same IEEE arithmetic
     grad = -np.ones(n)  # gradient of the dual objective wrt alpha
     Q = (sign[:, None] * sign[None, :]) * K
+    Q_cols = np.ascontiguousarray(Q.T)  # Q_cols[i] is Q[:, i]
+    K_diag = np.diag(K).tolist()
+    s = sign.tolist()
+    neg_sign = -sign
     bound = C - 1e-12
+
+    def working_sets(a):
+        # Indices whose alpha may move up / down along the constraint.
+        up = ((sign > 0) & (a < bound)) | ((sign < 0) & (a > 1e-12))
+        low = ((sign < 0) & (a < bound)) | ((sign > 0) & (a > 1e-12))
+        return up, low
+
+    up, low = working_sets(np.zeros(n))
     for _ in range(SMO_MAX_STEPS):
-        yg = -sign * grad
-        up = ((sign > 0) & (alpha < bound)) | ((sign < 0) & (alpha > 1e-12))
-        low = ((sign < 0) & (alpha < bound)) | ((sign > 0) & (alpha > 1e-12))
-        if not up.any() or not low.any():
+        yg = neg_sign * grad
+        i = int(np.where(up, yg, -np.inf).argmax())
+        j = int(np.where(low, yg, np.inf).argmin())
+        if not up[i] or not low[j]:  # an empty set leaves argmax/argmin at 0
             break
-        i = int(np.argmax(np.where(up, yg, -np.inf)))
-        j = int(np.argmin(np.where(low, yg, np.inf)))
-        if yg[i] - yg[j] <= SMO_TOL:
+        if yg.item(i) - yg.item(j) <= SMO_TOL:
             break
-        if sign[i] != sign[j]:
-            L = max(0.0, alpha[j] - alpha[i])
-            H = min(C, C + alpha[j] - alpha[i])
+        a_i, a_j, s_i, s_j = alpha[i], alpha[j], s[i], s[j]
+        if s_i != s_j:
+            L = max(0.0, a_j - a_i)
+            H = min(C, C + a_j - a_i)
         else:
-            L = max(0.0, alpha[i] + alpha[j] - C)
-            H = min(C, alpha[i] + alpha[j])
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+            L = max(0.0, a_i + a_j - C)
+            H = min(C, a_i + a_j)
+        eta = K_diag[i] + K_diag[j] - 2.0 * K.item(i, j)
         if eta <= 0.0:
             eta = 1e-12
-        u = sign * (grad + 1.0)  # decision values without the intercept
-        err_i = u[i] - sign[i]
-        err_j = u[j] - sign[j]
-        new_aj = np.clip(alpha[j] + sign[j] * (err_i - err_j) / eta, L, H)
-        delta_j = new_aj - alpha[j]
+        # Errors of the decision values without the intercept.
+        err_i = s_i * (grad.item(i) + 1.0) - s_i
+        err_j = s_j * (grad.item(j) + 1.0) - s_j
+        # Clipped as np.clip does, which keeps the bound on a tie.
+        new_aj = min(H, max(L, a_j + s_j * (err_i - err_j) / eta))
+        delta_j = new_aj - a_j
         if abs(delta_j) < 1e-14:
             warnings.warn("SMO stalled on a degenerate pair", RuntimeWarning)
             break
-        delta_i = -sign[i] * sign[j] * delta_j
-        alpha[i] += delta_i
-        alpha[j] += delta_j
-        grad += Q[:, i] * delta_i + Q[:, j] * delta_j
+        delta_i = -s_i * s_j * delta_j
+        alpha[i] = a_i + delta_i
+        alpha[j] = a_j + delta_j
+        grad += Q_cols[i] * delta_i + Q_cols[j] * delta_j
+        # Only alpha[i] and alpha[j] moved, so only they can change sets.
+        for k in (i, j):
+            a_k = alpha[k]
+            up[k] = (s[k] > 0 and a_k < bound) or (s[k] < 0 and a_k > 1e-12)
+            low[k] = (s[k] < 0 and a_k < bound) or (s[k] > 0 and a_k > 1e-12)
     else:
         warnings.warn("SMO hit its step cap before reaching tolerance", RuntimeWarning)
 
+    alpha = np.array(alpha)
     u = sign * (grad + 1.0)
     free = (alpha > 1e-8) & (alpha < C - 1e-8)
     if free.any():
         b = float(np.mean(sign[free] - u[free]))
     else:
-        yg = -sign * grad
-        up = ((sign > 0) & (alpha < bound)) | ((sign < 0) & (alpha > 1e-12))
-        low = ((sign < 0) & (alpha < bound)) | ((sign > 0) & (alpha > 1e-12))
+        yg = neg_sign * grad
+        up, low = working_sets(alpha)
         hi = yg[up].max() if up.any() else 0.0
         lo = yg[low].min() if low.any() else 0.0
         b = float((hi + lo) / 2.0)
@@ -431,16 +474,19 @@ def _fit_rbf_core(X, y, C, gamma):
     K = _rbf_kernel(Z, Z, gamma)
     alpha, b = _smo(K, sign, C)
     keep = alpha > 1e-12
-    return mean, scale, Z[keep], (alpha * sign)[keep], b
+    return mean, scale, Z[keep], (alpha * sign)[keep], b, gamma
 
 
 def _rbf_decisions(params, X):
-    mean, scale, support, coef, b = params[:5]
-    gamma = params[5]
+    mean, scale, support, coef, b, gamma = params
     Z = (X - mean) / scale
     if len(support) == 0:
         return np.full(len(Z), b)
     return _rbf_kernel(Z, support, gamma) @ coef + b
+
+
+def _rbf_labels(params, X):
+    return (_rbf_decisions(params, X) > 0.0).astype(np.float64)
 
 
 def fit_rbf_svm_platt(
@@ -457,31 +503,16 @@ def fit_rbf_svm_platt(
     _check_two_classes(y)
     folds = _stratified_folds(y, cv_folds)
     if C is None or gamma is None:
-        best_score = -np.inf
-        best = (min(REGULARIZATION_GRID), min(GAMMA_GRID))
-        # Ascending grids with strict improvement: ties keep the
-        # smallest C, then the smallest gamma.
-        for C_cand in sorted(REGULARIZATION_GRID):
-            for g_cand in sorted(GAMMA_GRID):
-                score = _cv_mean_f1(
-                    X, y, folds,
-                    lambda Xt, yt, c=C_cand, g=g_cand: (
-                        *_fit_rbf_core(Xt, yt, c, g), g
-                    ),
-                    lambda params, Xe: (_rbf_decisions(params, Xe) > 0.0).astype(
-                        np.float64
-                    ),
-                )
-                if score > best_score:
-                    best_score, best = score, (C_cand, g_cand)
-        C, gamma = best
-    mean, scale, support, coef, b = _fit_rbf_core(X, y, C, gamma)
-    decisions = _out_of_fold_decisions(
-        X, y, folds,
-        lambda Xt, yt: (*_fit_rbf_core(Xt, yt, C, gamma), gamma),
-        _rbf_decisions,
-    )
-    platt = fit_platt(decisions, y)
+        # Ties keep the smallest C, then the smallest gamma.
+        (C, gamma), fold_fits = _select(
+            X, y, folds,
+            [(c, g) for c in sorted(REGULARIZATION_GRID) for g in sorted(GAMMA_GRID)],
+            _fit_rbf_core, _rbf_labels,
+        )
+    else:
+        fold_fits = _fold_fits(X, y, folds, _fit_rbf_core, (C, gamma))
+    mean, scale, support, coef, b, _ = _fit_rbf_core(X, y, C, gamma)
+    platt = fit_platt(_out_of_fold_decisions(X, fold_fits, _rbf_decisions), y)
     return PairwiseModel(
         kind="rbf-svm",
         feature_names=feature_names or _default_names(X),

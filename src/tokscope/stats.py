@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.special import stdtr
 
 # Exact permutation enumeration is n! work; 8! = 40320 is the cutoff.
 EXACT_PERMUTATION_MAX_N = 8
@@ -157,6 +156,10 @@ def spearman(x, y) -> CorrelationResult:
         if 1.0 - rho * rho <= 0.0:
             p = 0.0
         else:
+            # Imported here: scipy costs every CLI command about 0.3 s to
+            # load, and only this branch needs it.
+            from scipy.special import stdtr
+
             t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
             p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return CorrelationResult(rho, p, n, "spearman")

@@ -12,6 +12,7 @@ import importlib
 import importlib.metadata
 import json
 import math
+import os
 import runpy
 import shutil
 import subprocess
@@ -450,6 +451,18 @@ class TestRunDispatch:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"tokscope {importlib.metadata.version('tokscope')}"
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is needed only for spearman's large-n p-value; loading it
+        # with the CLI would cost every command about 0.3 s.
+        package_root = str(Path(tokscope.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, tokscope.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 def declared_console_script():

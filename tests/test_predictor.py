@@ -1,16 +1,22 @@
 """Pairwise predictors: dataset construction, solvers, calibration.
 
 Solver oracles: the SMO dual is cross-checked against an SLSQP solve of
-the same QP plus the KKT conditions, and the linear SVM's dual coordinate
-descent against an SLSQP solve of its box-constrained dual; logistic
-fits are checked against closed-form optima (intercept-only data) and
-symmetry arguments rather than against a second optimizer.
+the same QP plus the KKT conditions, and the scalar SMO loop against a
+copy of the earlier vectorized loop, bit for bit; the linear SVM's dual
+coordinate descent against an SLSQP solve of its box-constrained dual;
+logistic Newton fits against closed-form optima and against a trust-region
+solve of the same penalized log loss by scipy.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import optimize
 
 from tokscope import (
@@ -35,8 +41,10 @@ from tokscope.predictor import (
     GAMMA_GRID,
     REGULARIZATION_GRID,
     _fit_linear_svm_core,
+    _fit_logistic_core,
     _rbf_kernel,
     _smo,
+    _standardization,
     _stratified_folds,
     decision_value,
 )
@@ -74,6 +82,68 @@ def separable_1d(n_per_class=8):
         out.append(example([1.0 + 0.01 * idx], 1, i=f"p{idx}", j="q"))
         out.append(example([-1.0 - 0.01 * idx], 0, i=f"n{idx}", j="q"))
     return out
+
+
+def _reference_smo(K, sign, C):
+    """The earlier, vectorized SMO loop, kept as the reference for _smo."""
+    n = len(sign)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    Q = (sign[:, None] * sign[None, :]) * K
+    bound = C - 1e-12
+    for _ in range(predictor.SMO_MAX_STEPS):
+        yg = -sign * grad
+        up = ((sign > 0) & (alpha < bound)) | ((sign < 0) & (alpha > 1e-12))
+        low = ((sign < 0) & (alpha < bound)) | ((sign > 0) & (alpha > 1e-12))
+        if not up.any() or not low.any():
+            break
+        i = int(np.argmax(np.where(up, yg, -np.inf)))
+        j = int(np.argmin(np.where(low, yg, np.inf)))
+        if yg[i] - yg[j] <= predictor.SMO_TOL:
+            break
+        if sign[i] != sign[j]:
+            L = max(0.0, alpha[j] - alpha[i])
+            H = min(C, C + alpha[j] - alpha[i])
+        else:
+            L = max(0.0, alpha[i] + alpha[j] - C)
+            H = min(C, alpha[i] + alpha[j])
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if eta <= 0.0:
+            eta = 1e-12
+        u = sign * (grad + 1.0)
+        err_i = u[i] - sign[i]
+        err_j = u[j] - sign[j]
+        new_aj = np.clip(alpha[j] + sign[j] * (err_i - err_j) / eta, L, H)
+        delta_j = new_aj - alpha[j]
+        if abs(delta_j) < 1e-14:
+            warnings.warn("SMO stalled on a degenerate pair", RuntimeWarning)
+            break
+        delta_i = -sign[i] * sign[j] * delta_j
+        alpha[i] += delta_i
+        alpha[j] += delta_j
+        grad += Q[:, i] * delta_i + Q[:, j] * delta_j
+    else:
+        warnings.warn("SMO hit its step cap before reaching tolerance", RuntimeWarning)
+
+    u = sign * (grad + 1.0)
+    free = (alpha > 1e-8) & (alpha < C - 1e-8)
+    if free.any():
+        b = float(np.mean(sign[free] - u[free]))
+    else:
+        yg = -sign * grad
+        up = ((sign > 0) & (alpha < bound)) | ((sign < 0) & (alpha > 1e-12))
+        low = ((sign < 0) & (alpha < bound)) | ((sign > 0) & (alpha > 1e-12))
+        hi = yg[up].max() if up.any() else 0.0
+        lo = yg[low].min() if low.any() else 0.0
+        b = float((hi + lo) / 2.0)
+    return alpha, b
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
 
 
 class TestBuildPairwiseDataset:
@@ -211,6 +281,68 @@ class TestFitLogistic:
     def test_unregularized_separable_fit_diverges(self):
         with pytest.raises(RuntimeError, match="did not converge"):
             fit_logistic(separable_1d(), lam=0.0)
+
+    def test_unregularized_overlapping_fit_converges(self):
+        # At x = +1 three of four labels are positive, at x = -1 one of
+        # four: the optimum is p = 3/4 and 1/4, so w = log 3 and b = 0.
+        # The all-zero second feature leaves the Hessian singular.
+        data = []
+        for idx, (x, label) in enumerate(
+            [(1.0, 1)] * 3 + [(1.0, 0)] + [(-1.0, 0)] * 3 + [(-1.0, 1)]
+        ):
+            data.append(example([x, 0.0], label, i=f"t{idx}", j="u"))
+        model = fit_logistic(data, lam=0.0)
+        assert model.weights[0] == pytest.approx(np.log(3.0), abs=1e-9)
+        assert model.weights[1] == 0.0
+        assert abs(model.beta0) <= 1e-12
+        assert predict_pair(model, [1.0, 0.0]) == pytest.approx(0.75, abs=1e-9)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_random=st.integers(0, 30),
+        d=st.integers(1, 4),
+        spread=st.sampled_from((0.1, 1.0, 10.0)),
+    )
+    @pytest.mark.parametrize("lam", (0.0, *REGULARIZATION_GRID))
+    def test_newton_matches_scipy(self, lam, seed, n_random, d, spread):
+        # d + 1 anchor points carry both labels, so no direction separates
+        # the data and even lam = 0 has a unique, finite optimum.
+        rng = np.random.default_rng(seed)
+        anchors = rng.normal(size=(d + 1, d))
+        X = np.vstack([anchors, anchors, spread * rng.normal(size=(n_random, d))])
+        y = np.concatenate(
+            [np.ones(d + 1), np.zeros(d + 1), rng.integers(0, 2, n_random)]
+        ).astype(np.float64)
+        mean, scale, b, w = _fit_logistic_core(X, y, lam)
+
+        ref_mean, ref_scale = _standardization(X)
+        A = np.column_stack([np.ones(len(y)), (X - ref_mean) / ref_scale])
+        flip = 1.0 - 2.0 * y
+        penalty = np.array([0.0] + [lam] * d)
+
+        def objective(theta):
+            t = flip * (A @ theta)
+            return np.mean(np.logaddexp(0.0, t)) + 0.5 * theta @ (penalty * theta)
+
+        def gradient(theta):
+            p = 1.0 / (1.0 + np.exp(-(A @ theta)))
+            return A.T @ (p - y) / len(y) + penalty * theta
+
+        def hessian(theta):
+            p = 1.0 / (1.0 + np.exp(-(A @ theta)))
+            return (A.T * (p * (1.0 - p))) @ A / len(y) + np.diag(penalty)
+
+        result = optimize.minimize(
+            objective, np.zeros(d + 1), jac=gradient, hess=hessian,
+            method="trust-exact", options={"gtol": 1e-12},
+        )
+        theta = np.append(b, w)
+        assert np.linalg.norm(gradient(theta)) <= 2 * predictor.NEWTON_GRAD_TOL
+        # trust-exact can stop on a rounding-limited step a little short
+        # of the optimum, so its own gradient is held to a looser bound.
+        assert np.linalg.norm(gradient(result.x)) <= 1e-7
+        np.testing.assert_allclose(theta, result.x, rtol=0.0, atol=1e-6)
 
     def test_cv_selects_from_grid(self, synth_dataset):
         model = fit_logistic(synth_dataset, feature_names=METRIC_NAMES)
@@ -369,6 +501,30 @@ class TestRbfSvm:
             else:
                 assert m == pytest.approx(1.0, abs=1e-6)
 
+    @settings(deadline=None, max_examples=25)
+    @given(
+        points=st.integers(4, 40).flatmap(
+            lambda n: hnp.arrays(
+                np.float64, (n, 2), elements=st.floats(-2.0, 2.0, width=16)
+            )
+        ),
+        labels=st.lists(st.booleans(), min_size=40, max_size=40),
+        gamma=st.sampled_from(GAMMA_GRID),
+    )
+    @pytest.mark.parametrize("C", REGULARIZATION_GRID)
+    def test_smo_matches_reference_loop(self, C, points, labels, gamma):
+        # Half-precision elements repeat often, which drives the loop
+        # through duplicate points and stalled pairs as well.
+        n = len(points)
+        sign = np.where(labels[:n], 1.0, -1.0)
+        sign[:2] = (1.0, -1.0)
+        K = _rbf_kernel(points, points, gamma)
+        (alpha, b), caught = _with_warnings(_smo, K, sign, C)
+        (ref_alpha, ref_b), ref_caught = _with_warnings(_reference_smo, K, sign, C)
+        assert np.array_equal(alpha, ref_alpha)
+        assert b == ref_b
+        assert caught == ref_caught
+
     def test_requires_four_examples(self):
         with pytest.raises(ValueError, match="at least 4"):
             fit_rbf_svm_platt(self.XOR[:3], C=1.0, gamma=1.0)
@@ -385,6 +541,50 @@ class TestRbfSvm:
         model = fit_rbf_svm_platt(synth_dataset[:16])
         assert model.hyperparameters["C"] in REGULARIZATION_GRID
         assert model.hyperparameters["gamma"] in GAMMA_GRID
+
+
+class TestFoldReuse:
+    """The grid search's fold fits at the chosen value feed Platt scaling."""
+
+    @staticmethod
+    def count_fits(monkeypatch, name):
+        calls = []
+        original = getattr(predictor, name)
+
+        def counting(*args):
+            calls.append(args[2:])
+            return original(*args)
+
+        monkeypatch.setattr(predictor, name, counting)
+        return calls
+
+    def test_linear_svm_fits_each_fold_once(self, synth_dataset, monkeypatch):
+        calls = self.count_fits(monkeypatch, "_fit_linear_svm_core")
+        model = fit_linear_svm(synth_dataset, cv_folds=5, feature_names=METRIC_NAMES)
+        assert len(calls) == 5 * len(REGULARIZATION_GRID) + 1
+        calls.clear()
+        explicit = fit_linear_svm(
+            synth_dataset, cv_folds=5, C=model.hyperparameters["C"],
+            feature_names=METRIC_NAMES,
+        )
+        assert len(calls) == 5 + 1
+        assert explicit.platt == model.platt
+        assert explicit.beta0 == model.beta0
+        np.testing.assert_array_equal(explicit.weights, model.weights)
+
+    def test_rbf_svm_fits_each_fold_once(self, synth_dataset, monkeypatch):
+        calls = self.count_fits(monkeypatch, "_fit_rbf_core")
+        model = fit_rbf_svm_platt(synth_dataset, cv_folds=5, feature_names=METRIC_NAMES)
+        assert len(calls) == 5 * len(REGULARIZATION_GRID) * len(GAMMA_GRID) + 1
+        calls.clear()
+        explicit = fit_rbf_svm_platt(
+            synth_dataset, cv_folds=5, C=model.hyperparameters["C"],
+            gamma=model.hyperparameters["gamma"], feature_names=METRIC_NAMES,
+        )
+        assert len(calls) == 5 + 1
+        assert explicit.platt == model.platt
+        assert explicit.beta0 == model.beta0
+        np.testing.assert_array_equal(explicit.dual_coefficients, model.dual_coefficients)
 
 
 class TestFitPlatt:
