@@ -401,7 +401,6 @@ def _smo(K, sign, C):
     alpha = [0.0] * n  # scalar work is on Python floats, the same IEEE arithmetic
     grad = -np.ones(n)  # gradient of the dual objective wrt alpha
     Q = (sign[:, None] * sign[None, :]) * K
-    Q_cols = np.ascontiguousarray(Q.T)  # Q_cols[i] is Q[:, i]
     K_diag = np.diag(K).tolist()
     s = sign.tolist()
     neg_sign = -sign
@@ -444,7 +443,7 @@ def _smo(K, sign, C):
         delta_i = -s_i * s_j * delta_j
         alpha[i] = a_i + delta_i
         alpha[j] = a_j + delta_j
-        grad += Q_cols[i] * delta_i + Q_cols[j] * delta_j
+        grad += Q[:, i] * delta_i + Q[:, j] * delta_j
         # Only alpha[i] and alpha[j] moved, so only they can change sets.
         for k in (i, j):
             a_k = alpha[k]
