@@ -43,8 +43,6 @@ from .zipf_metrics import (
     TokenFrequencyTable,
     ZipfFit,
     auc,
-    cardinality,
-    compression,
     count_frequencies,
     count_token_file,
     metadata_block,
@@ -101,9 +99,8 @@ __all__ = [
     "load_bpe", "pretokenize",
     "DEFAULT_TRUNCATION_BOUND", "LOG_BASE", "METRIC_NAMES", "SIMPSON_GRID",
     "MetricVector", "RankFrequencyCurve", "TokenFrequencyTable", "ZipfFit",
-    "auc", "cardinality", "compression", "count_frequencies",
-    "count_token_file", "metadata_block", "metric_vector", "metric_vector_from_dict",
-    "metric_vector_from_table",
+    "auc", "count_frequencies", "count_token_file", "metadata_block",
+    "metric_vector", "metric_vector_from_dict", "metric_vector_from_table",
     "metric_vector_to_dict", "power_law_deviation", "rank_frequency_curve",
     "ranked_counts", "zipf_fit",
     "CorrelationResult", "f1_score", "kendall", "midranks", "ols_fit",

@@ -42,7 +42,7 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class BpeTokenizer:
-    """Immutable after load; encode may be called from multiple threads."""
+    """A vocabulary and merge ranks, plus a memo of merged pieces."""
 
     token_to_id: dict[str, int]
     merge_ranks: dict[tuple[str, str], int]

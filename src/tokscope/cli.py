@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -81,7 +81,6 @@ class RunConfig:
     n_tokens: int = 1_000_000
     n_types: int = 403
     exponent: float = 1.0
-    threads: int = 1
     timestamp: bool = True
     out: Path | None = None
 
@@ -96,8 +95,8 @@ def generate_zipf_stream(
     """
     if n_types < 3:
         raise ValueError("n_types must be at least 3")
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
+    if not 0 <= exponent < math.inf:
+        raise ValueError(f"exponent must be finite and non-negative, got {exponent}")
     ranks = np.arange(1, n_types + 1, dtype=np.float64)
     counts = np.rint(n_tokens / ranks**exponent).astype(np.int64)
     if counts.min() <= 0:
@@ -161,33 +160,28 @@ def _encode_corpus(config: RunConfig) -> np.ndarray:
     """
     tokenizer = bpe_mod.load_bpe(config.vocab, config.merges)
     docs = load_corpus(config.corpus, config.corpus_format)
-    sequences = _encode_documents(tokenizer, [d.text for d in docs], config.threads)
-    return np.concatenate([np.zeros(0, dtype=np.int64), *(s.tokens for s in sequences)])
-
-
-def _encode_documents(tokenizer, texts, threads: int) -> list[TokenSequence]:
-    if threads <= 1 or len(texts) < 2:
-        return [bpe_mod.encode(tokenizer, t) for t in texts]
-    # Thread results come back in submission order, so the merged stream
-    # does not depend on scheduling.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: bpe_mod.encode(tokenizer, t), texts))
+    ids = [bpe_mod.encode(tokenizer, d.text).tokens for d in docs]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *ids])
 
 
 def _cmd_encode(config: RunConfig) -> int:
     _require(config, "vocab", "merges", "corpus", "out")
     tokenizer = bpe_mod.load_bpe(config.vocab, config.merges)
     docs = load_corpus(config.corpus, config.corpus_format)
-    sequences = _encode_documents(tokenizer, [d.text for d in docs], config.threads)
     with Path(config.out).open("w", encoding="utf-8") as fh:
         fh.write(_comment_line(config) + "\n")
-        for seq in sequences:
-            fh.write(" ".join(str(t) for t in seq.tokens.tolist()) + "\n")
+        for doc in docs:
+            ids = bpe_mod.encode(tokenizer, doc.text).tokens
+            fh.write(" ".join(map(str, ids.tolist())) + "\n")
     return 0
 
 
 def _cmd_metrics(config: RunConfig) -> int:
     _require(config, "out")
+    # Below ln 2 the curve keeps fewer than the two points a line needs.
+    if not math.log(2) <= config.truncation_bound < math.inf:
+        raise ValueError(f"--truncation-bound must be finite and at least ln 2, "
+                         f"got {config.truncation_bound}")
     table, name = _count_tokenizer_inputs(config)
     mv = metric_vector_from_table(table, config.truncation_bound)
     payload = metric_vector_to_dict(
@@ -226,12 +220,15 @@ def _cmd_correlate(config: RunConfig) -> int:
                 if col not in row or row[col] is None:
                     raise ValueError(f"{config.csv_path} line {lineno}: no column {col!r}")
                 try:
-                    dest.append(float(row[col]))
+                    value = float(row[col])
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ValueError(
                         f"{config.csv_path} line {lineno}: "
-                        f"non-numeric value {row[col]!r} in column {col!r}"
-                    ) from None
+                        f"non-numeric or non-finite value {row[col]!r} in column {col!r}"
+                    )
+                dest.append(value)
     if config.method == "spearman":
         result = spearman(xs, ys)
     elif config.method == "kendall":
@@ -277,7 +274,10 @@ def load_metric_dir(path) -> dict[tuple[str, str], MetricVector]:
         key = (str(data["tokenizer"]), str(data["language"]))
         if key in metrics:
             raise ValueError(f"{child}: duplicate metrics for {key}")
-        metrics[key] = metric_vector_from_dict(data)
+        try:
+            metrics[key] = metric_vector_from_dict(data)
+        except ValueError as e:
+            raise ValueError(f"{child}: {e}") from None
     if not metrics:
         raise ValueError(f"{path}: no *.json metric files found")
     return metrics
@@ -404,7 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="corpus_format", default="plaintext-lines",
                    choices=["plaintext-lines", "jsonl"])
     p.add_argument("--tokenizer-name")
-    p.add_argument("--threads", type=int, default=1)
     common(p)
 
     p = sub.add_parser("metrics", help="compute the metric vector of a token stream")
@@ -417,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokenizer-name")
     p.add_argument("--language")
     p.add_argument("--truncation-bound", type=float, default=DEFAULT_TRUNCATION_BOUND)
-    p.add_argument("--threads", type=int, default=1)
     common(p)
 
     p = sub.add_parser("export-curve", help="dump the full rank-frequency curve as CSV")

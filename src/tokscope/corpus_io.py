@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -350,8 +351,8 @@ def _parse_fixture(fh, source: str) -> DownstreamFixture:
                 f"{source} line {lineno}: direction must be one of {DIRECTIONS}, "
                 f"got {entry.direction!r}"
             )
-        if entry.metricx < 0 or entry.chrf < 0:
-            raise ValueError(f"{source} line {lineno}: scores must be non-negative")
+        if not (0 <= entry.metricx < math.inf and 0 <= entry.chrf < math.inf):
+            raise ValueError(f"{source} line {lineno}: scores must be finite and non-negative")
         if entry.key in entries:
             raise ValueError(f"{source} line {lineno}: duplicate key {entry.key}")
         entries[entry.key] = entry

@@ -56,6 +56,8 @@ def _as_pair(x, y, min_n: int) -> tuple[np.ndarray, np.ndarray]:
         )
     if len(xv) < min_n:
         raise ValueError(f"need at least {min_n} observations, got {len(xv)}")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise ValueError("inputs must be finite; got NaN or infinity")
     return xv, yv
 
 

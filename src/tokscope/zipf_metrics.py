@@ -16,9 +16,10 @@ the full stream. The area is computed by composite Simpson quadrature
 on a uniform resampling of the piecewise-linear curve, which makes it
 invariant to how the original ranks happen to be spaced.
 
-All five depend on a stream only through its count table, so
-`metric_vector_from_table` takes the table, and `count_token_file`
-builds it from a token file block by block without holding the stream.
+All five depend on a stream only through its count table, two int64
+arrays of sorted distinct ids and their counts. `count_blocks` is the one
+counting path: `count_token_file` feeds it a file block by block, and
+`count_frequencies` an in-memory stream as one block.
 """
 
 from __future__ import annotations
@@ -41,18 +42,31 @@ METRIC_NAMES = ("compression", "cardinality", "auc", "slope", "power_law")
 
 @dataclass(frozen=True)
 class TokenFrequencyTable:
-    """Occurrence counts per token id, plus the stream total."""
+    """Sorted, unique, non-negative int64 `ids` and the positive int64
+    `counts` of each; `total`, the stream length, is derived from them."""
 
-    counts: dict[int, int]
-    total: int
+    ids: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        if not self.counts:
+        ids = np.asarray(self.ids, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if ids.ndim != 1 or ids.shape != counts.shape:
+            raise ValueError("ids and counts must be 1-D arrays of equal length")
+        if not len(ids):
             raise ValueError("frequency table is empty")
-        if any(c <= 0 for c in self.counts.values()):
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("token ids must be sorted and unique")
+        if ids[0] < 0:
+            raise ValueError("token ids must be non-negative")
+        if counts.min() <= 0:
             raise ValueError("counts must be positive")
-        if sum(self.counts.values()) != self.total:
-            raise ValueError("total does not match the sum of counts")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -106,9 +120,7 @@ class MetricVector:
 
 
 def count_frequencies(seq: TokenSequence) -> TokenFrequencyTable:
-    if len(seq) == 0:
-        raise ValueError("cannot count frequencies of an empty stream")
-    return _table(*np.unique(seq.tokens, return_counts=True))
+    return count_blocks([seq.tokens], "token stream")
 
 
 def count_blocks(blocks: Iterable[np.ndarray], source: str) -> TokenFrequencyTable:
@@ -140,7 +152,7 @@ def count_blocks(blocks: Iterable[np.ndarray], source: str) -> TokenFrequencyTab
         ids, counts = _add_new_ids(ids, counts, waiting)
     if not len(ids):
         raise ValueError(f"{source}: cannot count frequencies of an empty stream")
-    return _table(ids, counts)
+    return TokenFrequencyTable(ids, counts)
 
 
 def _add_new_ids(ids, counts, waiting):
@@ -160,30 +172,9 @@ def count_token_file(path) -> TokenFrequencyTable:
     return count_blocks(read_token_blocks(path), str(path))
 
 
-def _table(ids: np.ndarray, counts: np.ndarray) -> TokenFrequencyTable:
-    return TokenFrequencyTable(
-        counts=dict(zip(ids.tolist(), counts.tolist())), total=int(counts.sum())
-    )
-
-
-def compression(seq: TokenSequence) -> int:
-    """Total token count; lower means the tokenizer compressed harder."""
-    if len(seq) == 0:
-        raise ValueError("empty stream")
-    return len(seq)
-
-
-def cardinality(table: TokenFrequencyTable) -> int:
-    """Number of distinct token ids actually used."""
-    return len(table.counts)
-
-
 def ranked_counts(table: TokenFrequencyTable) -> np.ndarray:
-    """Counts sorted by descending count, ties by ascending token id."""
-    ids = np.fromiter(table.counts.keys(), dtype=np.int64, count=len(table.counts))
-    counts = np.fromiter(table.counts.values(), dtype=np.int64, count=len(table.counts))
-    order = np.lexsort((ids, -counts))
-    return counts[order]
+    """Counts in descending order; equal counts need no tie-break by id."""
+    return np.sort(table.counts)[::-1]
 
 
 def rank_frequency_curve(
@@ -247,7 +238,7 @@ def metric_vector_from_table(
     fit = zipf_fit(curve)
     return MetricVector(
         compression=table.total,
-        cardinality=cardinality(table),
+        cardinality=len(table.ids),
         auc=auc(curve),
         slope=fit.beta1,
         power_law=power_law_deviation(curve, fit),
@@ -280,13 +271,16 @@ def metric_vector_to_dict(
 
 
 def metric_vector_from_dict(data: dict) -> MetricVector:
-    try:
-        return MetricVector(
-            compression=int(data["compression"]),
-            cardinality=int(data["cardinality"]),
-            auc=float(data["auc"]),
-            slope=float(data["slope"]),
-            power_law=float(data["power_law"]),
-        )
-    except KeyError as e:
-        raise ValueError(f"metric record is missing field {e.args[0]!r}") from None
+    """The metric fields of a record; each must be a finite number."""
+    values = {}
+    for name, kind in zip(METRIC_NAMES, (int, int, float, float, float)):
+        if name not in data:
+            raise ValueError(f"metric record is missing field {name!r}")
+        try:
+            values[name] = kind(data[name])
+            finite = math.isfinite(values[name])
+        except (TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValueError(f"field {name!r} is not a finite number: {data[name]!r}")
+    return MetricVector(**values)

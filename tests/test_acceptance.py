@@ -292,13 +292,9 @@ def test_criterion_09_scaling_invariance():
         n_types = int(rng.integers(5, 81))
         raw = rng.integers(1, 10_001, size=n_types)
         k = int(rng.integers(2, 1_001))
-        base = TokenFrequencyTable(
-            counts={i: int(c) for i, c in enumerate(raw)}, total=int(raw.sum())
-        )
-        scaled = TokenFrequencyTable(
-            counts={i: int(c) * k for i, c in enumerate(raw)},
-            total=int(raw.sum()) * k,
-        )
+        ids = np.arange(n_types, dtype=np.int64)
+        base = TokenFrequencyTable(ids=ids, counts=raw)
+        scaled = TokenFrequencyTable(ids=ids, counts=raw * k)
         curve_b = rank_frequency_curve(base)
         curve_s = rank_frequency_curve(scaled)
         fit_b = zipf_fit(curve_b)

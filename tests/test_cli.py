@@ -49,6 +49,37 @@ def cli(*args) -> int:
     return main([str(a) for a in args])
 
 
+def cli_process(*args) -> subprocess.CompletedProcess:
+    """Run `python -m tokscope` in a fresh interpreter, as a user would."""
+    package_root = str(Path(tokscope.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "tokscope", *map(str, args)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("metrics", "--truncation-bound", "nan"),
+        ("metrics", "--truncation-bound", "inf"),
+        ("metrics", "--truncation-bound", "0.5"),
+        ("metrics", "--truncation-bound", "abc"),
+        ("gen-zipf", "--exponent", "nan"),
+    ],
+)
+def test_bad_numeric_flag_fails_with_its_name(tmp_path, command, flag, value):
+    stream = tmp_path / "s.txt"
+    stream.write_text("5 1 5 2\n", encoding="utf-8")
+    inputs = ["--tokens", stream] if command == "metrics" else []
+    proc = cli_process(command, *inputs, flag, value, "--out", tmp_path / "out")
+    assert proc.returncode != 0
+    assert flag.lstrip("-") in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture()
 def synth_cli_world(tmp_path):
     """Metrics directory and fixture CSV for predict/rank commands."""
@@ -136,6 +167,14 @@ class TestMetricsCommand:
                    "--out", tmp_path / "m.json")
         assert code == 1
         assert "conflicts" in capsys.readouterr().err
+
+    def test_truncation_bound_ln2_keeps_two_points(self, tmp_path):
+        stream = tmp_path / "s.txt"
+        stream.write_text("5 1 5 2\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert cli("metrics", "--tokens", stream, "--truncation-bound", math.log(2),
+                   "--out", out) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["slope"] == pytest.approx(-1.0)
 
     def test_missing_out_flag(self, tmp_path, capsys):
         stream = tmp_path / "s.txt"
@@ -225,21 +264,20 @@ class TestEncode:
         expected = encode(tok, "first document").tokens.tolist()
         assert [int(t) for t in lines[1].split()] == expected
 
-    def test_thread_count_does_not_change_output(self, tmp_path, trained_bpe):
-        _, vocab_path, merges_path = trained_bpe
+    def test_each_line_is_its_document_encoded(self, tmp_path, trained_bpe):
+        tok, vocab_path, merges_path = trained_bpe
+        docs = [f"document number {i} with words" for i in range(12)]
         corpus = tmp_path / "c.txt"
-        corpus.write_text(
-            "\n".join(f"document number {i} with words" for i in range(12)) + "\n",
-            encoding="utf-8",
-        )
-        outs = []
-        for threads in (1, 4):
-            out = tmp_path / f"enc{threads}.txt"
-            assert cli("encode", "--vocab", vocab_path, "--merges", merges_path,
-                       "--corpus", corpus, "--threads", threads,
-                       "--no-timestamp", "--out", out) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        corpus.write_text("\n".join(docs) + "\n", encoding="utf-8")
+        out = tmp_path / "enc.txt"
+        assert cli("encode", "--vocab", vocab_path, "--merges", merges_path,
+                   "--corpus", corpus, "--no-timestamp", "--out", out) == 0
+        lines = out.read_text(encoding="utf-8").split("\n")
+        assert lines[0].startswith("# {") and lines[-1] == ""
+        from tokscope import encode
+        assert lines[1:-1] == [
+            " ".join(map(str, encode(tok, d).tokens.tolist())) for d in docs
+        ]
 
     def test_stream_loads_back(self, tmp_path, trained_bpe):
         _, vocab_path, merges_path = trained_bpe
@@ -303,6 +341,20 @@ class TestCorrelate:
         assert code == 1
         err = capsys.readouterr().err
         assert "non-numeric" in err and "line 3" in err
+
+    @pytest.mark.parametrize("method", ["spearman", "kendall"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_fails_located(self, tmp_path, capsys, method, cell):
+        csv_path = tmp_path / "data.csv"
+        self.write_csv(csv_path, [(1, cell), (2, 3), (3, 4), (4, 1)])
+        out = tmp_path / "corr.json"
+        assert cli("correlate", "--csv", csv_path, "--x-col", "x", "--y-col", "y",
+                   "--method", method, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"tokscope: error: {csv_path} line 2: "
+            f"non-numeric or non-finite value {cell!r} in column 'y'\n"
+        )
+        assert not out.exists()
 
     def test_missing_column_fails(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
@@ -390,6 +442,21 @@ class TestMetricDir:
         (tmp_path / "a.json").write_text('{"compression": 3}', encoding="utf-8")
         with pytest.raises(ValueError, match="tokenizer/language"):
             load_metric_dir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "field, text", [("compression", '"abc"'), ("auc", "NaN"), ("slope", "-Infinity")]
+    )
+    def test_bad_metric_value_names_file_and_field(self, tmp_path, field, text):
+        payload = {"tokenizer": "t", "language": "aa", "compression": 3,
+                   "cardinality": 2, "auc": 0.2, "slope": -1.0, "power_law": 0.0}
+        body = json.dumps(payload).replace(f'"{field}": {json.dumps(payload[field])}',
+                                           f'"{field}": {text}')
+        path = tmp_path / "a.json"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_metric_dir(tmp_path)
+        bad = json.loads(text)
+        assert str(exc.value) == f"{path}: field {field!r} is not a finite number: {bad!r}"
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no \\*.json"):

@@ -354,6 +354,19 @@ class TestDownstreamFixture:
         with pytest.raises(ValueError, match="non-negative"):
             load_downstream_fixture(path)
 
+    @pytest.mark.parametrize("scores", ["nan,40.0", "1.0,inf", "1.0,NaN"])
+    def test_non_finite_score_rejected(self, tmp_path, scores):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "tokenizer,scale,language,direction,metricx,chrf\n"
+            "tok,1B,aa,en-xx,1.0,40.0\n"
+            f"tok,1B,bb,en-xx,{scores}\n",
+            encoding="utf-8",
+        )
+        message = re.escape(f"{path} line 3: scores must be finite")
+        with pytest.raises(ValueError, match="^" + message):
+            load_downstream_fixture(path)
+
     def test_directions_constant(self):
         assert DIRECTIONS == ("en-xx", "xx-en")
 

@@ -266,6 +266,15 @@ class TestKendall:
         )
 
 
+@pytest.mark.parametrize("correlation", [spearman, kendall])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_correlations_reject_non_finite_input(correlation, bad):
+    with pytest.raises(ValueError, match="finite"):
+        correlation([1, 2, 3, 4], [bad, 3, 4, 1])
+    with pytest.raises(ValueError, match="finite"):
+        correlation([1, 2, 3, bad], [2, 3, 4, 1])
+
+
 class TestSimpson:
     def test_single_parabolic_panel(self):
         assert simpson_integrate([0.0, 1.0, 0.0], 1.0) == pytest.approx(4.0 / 3.0)

@@ -32,8 +32,6 @@ from tokscope import (
     TokenFrequencyTable,
     TokenSequence,
     auc,
-    cardinality,
-    compression,
     count_frequencies,
     count_token_file,
     generate_zipf_stream,
@@ -56,35 +54,47 @@ def seq(tokens):
 
 
 def table_from_counts(counts: dict[int, int]) -> TokenFrequencyTable:
-    return TokenFrequencyTable(counts=counts, total=sum(counts.values()))
+    ids = np.array(sorted(counts), dtype=np.int64)
+    return TokenFrequencyTable(ids=ids, counts=np.array([counts[i] for i in ids.tolist()]))
 
 
 class TestCounting:
     def test_count_frequencies(self):
-        table = count_frequencies(seq([5, 1, 5]))
-        assert table.counts == {5: 2, 1: 1}
+        stream = seq([5, 1, 5])
+        table = count_frequencies(stream)
+        ids, counts = np.unique(stream.tokens, return_counts=True)
+        assert table.ids.tolist() == ids.tolist() == [1, 5]
+        assert table.counts.tolist() == counts.tolist() == [1, 2]
+        assert table.ids.dtype == table.counts.dtype == np.int64
         assert table.total == 3
 
     def test_compression_is_stream_length(self):
-        assert compression(seq([5, 1, 5])) == 3
+        assert metric_vector(seq([5, 1, 5])).compression == 3
 
     def test_cardinality_is_distinct_ids(self):
-        assert cardinality(count_frequencies(seq([5, 1, 5]))) == 2
+        assert metric_vector(seq([5, 1, 5])).cardinality == 2
 
     def test_empty_stream_rejected(self):
-        empty = seq([])
         with pytest.raises(ValueError, match="empty"):
-            count_frequencies(empty)
-        with pytest.raises(ValueError, match="empty"):
-            compression(empty)
+            count_frequencies(seq([]))
 
     def test_table_validation(self):
         with pytest.raises(ValueError, match="empty"):
-            TokenFrequencyTable(counts={}, total=0)
+            TokenFrequencyTable(ids=[], counts=[])
         with pytest.raises(ValueError, match="positive"):
-            TokenFrequencyTable(counts={1: 0}, total=0)
-        with pytest.raises(ValueError, match="total"):
-            TokenFrequencyTable(counts={1: 2}, total=3)
+            TokenFrequencyTable(ids=[1], counts=[0])
+        with pytest.raises(ValueError, match="positive"):
+            TokenFrequencyTable(ids=[1, 2], counts=[3, -1])
+        with pytest.raises(ValueError, match="sorted and unique"):
+            TokenFrequencyTable(ids=[2, 1], counts=[1, 1])
+        with pytest.raises(ValueError, match="sorted and unique"):
+            TokenFrequencyTable(ids=[1, 1], counts=[1, 1])
+        with pytest.raises(ValueError, match="non-negative"):
+            TokenFrequencyTable(ids=[-1, 2], counts=[1, 1])
+        with pytest.raises(ValueError, match="equal length"):
+            TokenFrequencyTable(ids=[1, 2], counts=[1])
+        with pytest.raises(ValueError, match="equal length"):
+            TokenFrequencyTable(ids=[[1, 2]], counts=[[1, 1]])
 
     def test_ranked_counts_descending(self):
         table = table_from_counts({3: 2, 1: 2, 2: 5})
@@ -108,7 +118,8 @@ class TestCountTokenFile:
                     return
                 table = count_token_file(path)
         ids, counts = np.unique(loaded, return_counts=True)
-        assert table.counts == dict(zip(ids.tolist(), counts.tolist()))
+        np.testing.assert_array_equal(table.ids, ids)
+        np.testing.assert_array_equal(table.counts, counts)
         assert table.total == len(tokens)
 
     @given(
@@ -127,7 +138,8 @@ class TestCountTokenFile:
             return
         table = count_blocks(arrays, "s")
         ids, counts = np.unique(stream, return_counts=True)
-        assert table.counts == dict(zip(ids.tolist(), counts.tolist()))
+        np.testing.assert_array_equal(table.ids, ids)
+        np.testing.assert_array_equal(table.counts, counts)
         assert table.total == len(stream)
 
     def test_empty_stream_names_the_file(self, tmp_path):
