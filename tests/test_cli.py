@@ -449,10 +449,9 @@ class TestMetricDir:
     def test_bad_metric_value_names_file_and_field(self, tmp_path, field, text):
         payload = {"tokenizer": "t", "language": "aa", "compression": 3,
                    "cardinality": 2, "auc": 0.2, "slope": -1.0, "power_law": 0.0}
-        body = json.dumps(payload).replace(f'"{field}": {json.dumps(payload[field])}',
-                                           f'"{field}": {text}')
         path = tmp_path / "a.json"
-        path.write_text(body, encoding="utf-8")
+        path.write_text(json.dumps({**payload, field: "BAD"}).replace('"BAD"', text),
+                        encoding="utf-8")
         with pytest.raises(ValueError) as exc:
             load_metric_dir(tmp_path)
         bad = json.loads(text)
