@@ -29,6 +29,7 @@ from .corpus_io import (
     load_bundled_fixture,
     load_corpus,
     load_downstream_fixture,
+    read_commented_csv,
     save_token_stream,
 )
 from .predictor import (
@@ -53,6 +54,7 @@ from .zipf_metrics import (
 )
 
 SEED_ENV_VAR = "TOKSCOPE_SEED"
+CURVE_BLOCK_ROWS = 1 << 16  # export-curve rows formatted per writerows call
 
 
 @dataclass
@@ -202,10 +204,14 @@ def _cmd_export_curve(config: RunConfig) -> int:
         fh.write(_comment_line(config) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["rank", "count", "log_rank", "log_count"])
-        for rank, count in enumerate(counts.tolist(), start=1):
-            writer.writerow(
-                [rank, count, repr(float(np.log(rank))), repr(float(np.log(count)))]
-            )
+        ranks = np.arange(1, len(counts) + 1)
+        log_ranks, log_counts = np.log(ranks), np.log(counts)
+        # csv writes a float as its repr. Rows become Python objects one
+        # block at a time, so memory stays that of the arrays.
+        for lo in range(0, len(counts), CURVE_BLOCK_ROWS):
+            block = slice(lo, lo + CURVE_BLOCK_ROWS)
+            writer.writerows(zip(ranks[block].tolist(), counts[block].tolist(),
+                                 log_ranks[block].tolist(), log_counts[block].tolist()))
     return 0
 
 
@@ -213,9 +219,8 @@ def _cmd_correlate(config: RunConfig) -> int:
     _require(config, "csv_path", "x_col", "y_col", "out")
     xs, ys = [], []
     with Path(config.csv_path).open(encoding="utf-8", newline="") as fh:
-        rows = (line for line in fh if not line.startswith("#"))
-        reader = csv.DictReader(rows)
-        for lineno, row in enumerate(reader, start=2):
+        _, rows = read_commented_csv(fh)
+        for lineno, row in rows:
             for col, dest in ((config.x_col, xs), (config.y_col, ys)):
                 if col not in row or row[col] is None:
                     raise ValueError(f"{config.csv_path} line {lineno}: no column {col!r}")
@@ -285,8 +290,6 @@ def load_metric_dir(path) -> dict[tuple[str, str], MetricVector]:
 
 def _cmd_predict(config: RunConfig) -> int:
     _require(config, "metrics_dir", "out")
-    if config.model not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {config.model!r}")
     fixture = _load_fixture(config)
     metrics = load_metric_dir(config.metrics_dir)
     report = leave_one_tokenizer_out(
@@ -388,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", type=Path, required=False)
         p.add_argument(
             "--no-timestamp",
@@ -401,8 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", type=Path)
     p.add_argument("--merges", type=Path)
     p.add_argument("--corpus", type=Path)
-    p.add_argument("--format", dest="corpus_format", default="plaintext-lines",
-                   choices=["plaintext-lines", "jsonl"])
+    p.add_argument("--format", dest="corpus_format", choices=["plaintext-lines", "jsonl"])
     p.add_argument("--tokenizer-name")
     common(p)
 
@@ -411,11 +413,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", type=Path)
     p.add_argument("--merges", type=Path)
     p.add_argument("--corpus", type=Path)
-    p.add_argument("--format", dest="corpus_format", default="plaintext-lines",
-                   choices=["plaintext-lines", "jsonl"])
+    p.add_argument("--format", dest="corpus_format", choices=["plaintext-lines", "jsonl"])
     p.add_argument("--tokenizer-name")
     p.add_argument("--language")
-    p.add_argument("--truncation-bound", type=float, default=DEFAULT_TRUNCATION_BOUND)
+    p.add_argument("--truncation-bound", type=float)
     common(p)
 
     p = sub.add_parser("export-curve", help="dump the full rank-frequency curve as CSV")
@@ -426,31 +427,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", dest="csv_path", type=Path)
     p.add_argument("--x-col")
     p.add_argument("--y-col")
-    p.add_argument("--method", default="spearman", choices=["spearman", "kendall"])
+    p.add_argument("--method", choices=["spearman", "kendall"])
     common(p)
 
     p = sub.add_parser("predict", help="leave-one-tokenizer-out F1 evaluation")
     p.add_argument("--fixture", type=Path)
     p.add_argument("--metrics-dir", type=Path)
-    p.add_argument("--features", nargs="+", default=list(METRIC_NAMES),
-                   choices=list(METRIC_NAMES))
-    p.add_argument("--model", default="logistic", choices=list(MODEL_KINDS))
-    p.add_argument("--scale", default="2.7B")
-    p.add_argument("--cv-folds", type=int, default=5)
+    p.add_argument("--features", nargs="+", choices=list(METRIC_NAMES))
+    p.add_argument("--model", choices=list(MODEL_KINDS))
+    p.add_argument("--scale")
+    p.add_argument("--cv-folds", type=int)
     common(p)
 
     p = sub.add_parser("rank", help="Bradley-Terry ranking for a held-out language")
     p.add_argument("--fixture", type=Path)
     p.add_argument("--metrics-dir", type=Path)
-    p.add_argument("--scale", default="2.7B")
+    p.add_argument("--scale")
     p.add_argument("--heldout-language")
-    p.add_argument("--cv-folds", type=int, default=5)
+    p.add_argument("--cv-folds", type=int)
     common(p)
 
     p = sub.add_parser("gen-zipf", help="generate an exact Zipf-count token stream")
-    p.add_argument("--n-tokens", type=int, default=1_000_000)
-    p.add_argument("--n-types", type=int, default=403)
-    p.add_argument("--exponent", type=float, default=1.0)
+    p.add_argument("--n-tokens", type=int)
+    p.add_argument("--n-types", type=int)
+    p.add_argument("--exponent", type=float)
     common(p)
 
     return parser

@@ -327,14 +327,32 @@ def load_bundled_fixture() -> DownstreamFixture:
         return _parse_fixture(fh, BUNDLED_SCORES)
 
 
+def read_commented_csv(fh) -> tuple[list[str], Iterator[tuple[int, dict]]]:
+    """The header and (line number, row) pairs of a CSV with "#" comment lines.
+
+    A line that starts with "#" is skipped. Line numbers are physical:
+    they count the comment lines too, and a row that spans lines gets the
+    number of its last line.
+    """
+    lineno = 0
+
+    def lines():
+        nonlocal lineno
+        for lineno, line in enumerate(fh, start=1):
+            if not line.startswith("#"):
+                yield line
+
+    reader = csv.DictReader(lines())
+    return reader.fieldnames or [], ((lineno, row) for row in reader)
+
+
 def _parse_fixture(fh, source: str) -> DownstreamFixture:
-    rows = (line for line in fh if not line.startswith("#"))
-    reader = csv.DictReader(rows)
-    missing = set(FIXTURE_COLUMNS) - set(reader.fieldnames or [])
+    header, rows = read_commented_csv(fh)
+    missing = set(FIXTURE_COLUMNS) - set(header)
     if missing:
         raise ValueError(f"{source}: missing columns: {sorted(missing)}")
     entries: dict[tuple[str, str, str, str], ScoreEntry] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         try:
             entry = ScoreEntry(
                 tokenizer=row["tokenizer"],

@@ -11,17 +11,24 @@ deterministic optimizers so repeated runs are bit-identical:
   rbf-svm      kernel SVM fit by SMO, probabilities via Platt scaling
 
 Features are standardized on the training split; the standardization is
-stored in the model and applied inside predict_pair. Hyperparameters
-come from small fixed grids chosen by stratified k-fold CV on mean F1,
-with ties resolved toward stronger regularization. The SVMs calibrate
-Platt scaling on out-of-fold decisions from the fold models that the
-search already fit at the chosen value.
+stored in the model and applied by the decision function. One fit path,
+_fit, serves all three kinds through a per-kind table, _KINDS: the
+PairwiseModel fields that the kind's core fit fills, its hyperparameter
+names and grid candidates, its decision function, and whether Platt
+scaling applies. Hyperparameters are chosen by stratified k-fold CV on
+mean F1 of the labels decision > 0, with ties resolved toward stronger
+regularization. The SVMs calibrate Platt scaling on out-of-fold
+decisions from the fold models that the search already fit at the
+chosen value. decision_value applies the same decision function to a
+fitted model.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -41,6 +48,7 @@ DCD_TOL = 1e-8
 DCD_MAX_SWEEPS = 100_000
 SMO_TOL = 1e-10
 SMO_MAX_STEPS = 200_000
+PLATT_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -117,28 +125,6 @@ def _standardization(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, scale
 
 
-def _design(examples) -> tuple[np.ndarray, np.ndarray]:
-    if not examples:
-        raise ValueError("no training examples")
-    X = np.vstack([e.features for e in examples])
-    y = np.array([e.label for e in examples], dtype=np.float64)
-    return X, y
-
-
-def _check_two_classes(y: np.ndarray, minimum: int = 2) -> None:
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    if n_pos < minimum or n_neg < minimum:
-        raise ValueError(
-            f"need at least {minimum} examples per class, "
-            f"got {n_pos} positive / {n_neg} negative"
-        )
-
-
-def _default_names(X: np.ndarray) -> tuple[str, ...]:
-    return tuple(f"f{i}" for i in range(X.shape[1]))
-
-
 def _stratified_folds(y: np.ndarray, k: int) -> list[np.ndarray]:
     """Deal each class round-robin over k folds, in dataset order."""
     if k < 2:
@@ -148,19 +134,6 @@ def _stratified_folds(y: np.ndarray, k: int) -> list[np.ndarray]:
         for slot, idx in enumerate(np.nonzero(y == cls)[0]):
             folds[slot % k].append(int(idx))
     return [np.array(sorted(f), dtype=np.intp) for f in folds]
-
-
-def _safe_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
-    # CV-internal scorer: an all-negative fold predicted all-negative
-    # counts as perfect instead of raising.
-    tp = float(np.sum((predicted == 1) & (actual == 1)))
-    fp = float(np.sum((predicted == 1) & (actual == 0)))
-    fn = float(np.sum((predicted == 0) & (actual == 1)))
-    if tp == 0.0:
-        return 1.0 if (fp == 0.0 and fn == 0.0) else 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2.0 * precision * recall / (precision + recall)
 
 
 def _fold_fits(X, y, folds, fit_core, args) -> list:
@@ -174,28 +147,27 @@ def _fold_fits(X, y, folds, fit_core, args) -> list:
     return fits
 
 
-def _select(X, y, folds, candidates, fit_core, label_fn):
+def _fold_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
+    # An all-negative fold predicted all-negative counts as perfect.
+    return f1_score(predicted, actual) if predicted.any() or actual.any() else 1.0
+
+
+def _select(X, y, folds, candidates, fit_core, decision_fn):
     """The candidate with the best CV mean F1, and its fold fits.
 
     Candidates are argument tuples for fit_core, given in tie-break
-    order: only a strictly better score displaces an earlier one.
+    order: only a strictly better score displaces an earlier one. A fold
+    example is labelled positive where its decision is above zero.
     """
     best_score, best, best_fits = -np.inf, None, None
     for args in candidates:
         fits = _fold_fits(X, y, folds, fit_core, args)
         score = float(np.mean(
-            [_safe_f1(label_fn(params, X[held]), y[held]) for held, params in fits]
+            [_fold_f1(decision_fn(params, X[held]) > 0.0, y[held]) for held, params in fits]
         ))
         if score > best_score:
             best_score, best, best_fits = score, args, fits
     return best, best_fits
-
-
-def _out_of_fold_decisions(X, fold_fits, decision_fn):
-    decisions = np.zeros(len(X))
-    for held, params in fold_fits:
-        decisions[held] = decision_fn(params, X[held])
-    return decisions
 
 
 # --- logistic regression -------------------------------------------------
@@ -256,11 +228,6 @@ def _fit_logistic_core(X, y, lam):
     return mean, scale, float(theta[0]), theta[1:]
 
 
-def _logistic_labels(params, X):
-    mean, scale, b, w = params
-    return (_sigmoid(b + ((X - mean) / scale) @ w) > 0.5).astype(np.float64)
-
-
 def fit_logistic(
     examples,
     cv_folds: int = 5,
@@ -268,25 +235,7 @@ def fit_logistic(
     feature_names: tuple[str, ...] | None = None,
 ) -> PairwiseModel:
     """L2 logistic regression; lam picked from the grid by CV unless given."""
-    X, y = _design(examples)
-    _check_two_classes(y)
-    if lam is None:
-        # Strongest regularization first, so ties keep it.
-        (lam,), _ = _select(
-            X, y, _stratified_folds(y, cv_folds),
-            [(c,) for c in sorted(REGULARIZATION_GRID, reverse=True)],
-            _fit_logistic_core, _logistic_labels,
-        )
-    mean, scale, b, w = _fit_logistic_core(X, y, lam)
-    return PairwiseModel(
-        kind="logistic",
-        feature_names=feature_names or _default_names(X),
-        feature_mean=mean,
-        feature_scale=scale,
-        beta0=b,
-        weights=w,
-        hyperparameters={"lam": lam, "cv_folds": cv_folds},
-    )
+    return _fit("logistic", examples, cv_folds, _fit_logistic_core, (lam,), feature_names)
 
 
 # --- linear SVM ----------------------------------------------------------
@@ -342,10 +291,6 @@ def _linear_decisions(params, X):
     return b + ((X - mean) / scale) @ w
 
 
-def _linear_labels(params, X):
-    return (_linear_decisions(params, X) > 0.0).astype(np.float64)
-
-
 def fit_linear_svm(
     examples,
     cv_folds: int = 5,
@@ -353,29 +298,7 @@ def fit_linear_svm(
     feature_names: tuple[str, ...] | None = None,
 ) -> PairwiseModel:
     """Linear SVM with Platt-scaled probabilities; C chosen by CV."""
-    X, y = _design(examples)
-    _check_two_classes(y)
-    folds = _stratified_folds(y, cv_folds)
-    if C is None:
-        # Smallest C = strongest regularization; ties keep it.
-        (C,), fold_fits = _select(
-            X, y, folds, [(c,) for c in sorted(REGULARIZATION_GRID)],
-            _fit_linear_svm_core, _linear_labels,
-        )
-    else:
-        fold_fits = _fold_fits(X, y, folds, _fit_linear_svm_core, (C,))
-    mean, scale, b, w = _fit_linear_svm_core(X, y, C)
-    platt = fit_platt(_out_of_fold_decisions(X, fold_fits, _linear_decisions), y)
-    return PairwiseModel(
-        kind="linear-svm",
-        feature_names=feature_names or _default_names(X),
-        feature_mean=mean,
-        feature_scale=scale,
-        beta0=b,
-        weights=w,
-        platt=platt,
-        hyperparameters={"C": C, "cv_folds": cv_folds},
-    )
+    return _fit("linear-svm", examples, cv_folds, _fit_linear_svm_core, (C,), feature_names)
 
 
 # --- RBF SVM via SMO -----------------------------------------------------
@@ -478,14 +401,7 @@ def _fit_rbf_core(X, y, C, gamma):
 
 def _rbf_decisions(params, X):
     mean, scale, support, coef, b, gamma = params
-    Z = (X - mean) / scale
-    if len(support) == 0:
-        return np.full(len(Z), b)
-    return _rbf_kernel(Z, support, gamma) @ coef + b
-
-
-def _rbf_labels(params, X):
-    return (_rbf_decisions(params, X) > 0.0).astype(np.float64)
+    return _rbf_kernel((X - mean) / scale, support, gamma) @ coef + b
 
 
 def fit_rbf_svm_platt(
@@ -496,40 +412,74 @@ def fit_rbf_svm_platt(
     feature_names: tuple[str, ...] | None = None,
 ) -> PairwiseModel:
     """RBF-kernel SVM with Platt-scaled probabilities; (C, gamma) by CV."""
-    X, y = _design(examples)
-    if len(y) < 4:
+    if len(examples) < 4:
         raise ValueError("need at least 4 examples to fit an RBF SVM")
-    _check_two_classes(y)
-    folds = _stratified_folds(y, cv_folds)
-    if C is None or gamma is None:
-        # Ties keep the smallest C, then the smallest gamma.
-        (C, gamma), fold_fits = _select(
-            X, y, folds,
-            [(c, g) for c in sorted(REGULARIZATION_GRID) for g in sorted(GAMMA_GRID)],
-            _fit_rbf_core, _rbf_labels,
-        )
-    else:
-        fold_fits = _fold_fits(X, y, folds, _fit_rbf_core, (C, gamma))
-    mean, scale, support, coef, b, _ = _fit_rbf_core(X, y, C, gamma)
-    platt = fit_platt(_out_of_fold_decisions(X, fold_fits, _rbf_decisions), y)
+    return _fit("rbf-svm", examples, cv_folds, _fit_rbf_core, (C, gamma), feature_names)
+
+
+# --- the shared fit path -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    fields: tuple[str, ...]  # PairwiseModel fields, in the order of the core fit's tuple
+    hyperparameters: tuple[str, ...]
+    candidates: tuple[tuple, ...]  # hyperparameter tuples in tie-break order
+    decisions: Callable
+    platt: bool
+
+
+_LINEAR_FIELDS = ("feature_mean", "feature_scale", "beta0", "weights")
+_RBF_FIELDS = ("feature_mean", "feature_scale", "support_set", "dual_coefficients", "beta0", "gamma")
+_C_GRID = sorted(REGULARIZATION_GRID)
+# Strongest regularization first, so that ties keep it: the largest lam,
+# the smallest C, then the smallest gamma.
+_KINDS = {
+    "logistic": _Kind(_LINEAR_FIELDS, ("lam",), tuple(product(_C_GRID[::-1])),
+                      _linear_decisions, platt=False),
+    "linear-svm": _Kind(_LINEAR_FIELDS, ("C",), tuple(product(_C_GRID)),
+                        _linear_decisions, platt=True),
+    "rbf-svm": _Kind(_RBF_FIELDS, ("C", "gamma"), tuple(product(_C_GRID, sorted(GAMMA_GRID))),
+                     _rbf_decisions, platt=True),
+}
+
+
+def _fit(kind, examples, cv_folds, fit_core, hyper, feature_names) -> PairwiseModel:
+    """Fit one model kind; hyperparameters left as None are chosen by CV."""
+    spec = _KINDS[kind]
+    if not examples:
+        raise ValueError("no training examples")
+    X = np.vstack([e.features for e in examples])
+    y = np.array([e.label for e in examples], dtype=np.float64)
+    n_pos = int(y.sum())
+    if min(n_pos, len(y) - n_pos) < 2:
+        raise ValueError(f"need at least 2 examples per class, "
+                         f"got {n_pos} positive / {len(y) - n_pos} negative")
+    if None in hyper:
+        folds = _stratified_folds(y, cv_folds)
+        hyper, fold_fits = _select(X, y, folds, spec.candidates, fit_core, spec.decisions)
+    elif spec.platt:
+        fold_fits = _fold_fits(X, y, _stratified_folds(y, cv_folds), fit_core, hyper)
+    params = fit_core(X, y, *hyper)
+    platt = None
+    if spec.platt:
+        decisions = np.zeros(len(y))
+        for held, fold_params in fold_fits:
+            decisions[held] = spec.decisions(fold_params, X[held])
+        platt = fit_platt(decisions, y)
     return PairwiseModel(
-        kind="rbf-svm",
-        feature_names=feature_names or _default_names(X),
-        feature_mean=mean,
-        feature_scale=scale,
-        beta0=b,
-        support_set=support,
-        dual_coefficients=coef,
-        gamma=gamma,
+        kind=kind,
+        feature_names=feature_names or tuple(f"f{i}" for i in range(X.shape[1])),
         platt=platt,
-        hyperparameters={"C": C, "gamma": gamma, "cv_folds": cv_folds},
+        hyperparameters={**dict(zip(spec.hyperparameters, hyper)), "cv_folds": cv_folds},
+        **dict(zip(spec.fields, params)),
     )
 
 
 # --- Platt scaling -------------------------------------------------------
 
 
-def fit_platt(decisions, labels, max_iter: int = 100) -> tuple[float, float]:
+def fit_platt(decisions, labels) -> tuple[float, float]:
     """Fit (A, B) so that sigma(A*d + B) calibrates decision values d.
 
     Newton's method with backtracking on the regularized cross-entropy,
@@ -553,7 +503,7 @@ def fit_platt(decisions, labels, max_iter: int = 100) -> tuple[float, float]:
     A = 0.0
     B = float(np.log((prior0 + 1.0) / (prior1 + 1.0)))
     fval = objective(A, B)
-    for _ in range(max_iter):
+    for _ in range(PLATT_MAX_STEPS):
         f = A * d + B
         p = _sigmoid(-f)  # probability of the positive class in this parameterization
         q = 1.0 - p
@@ -594,19 +544,18 @@ def decision_value(model: PairwiseModel, feature_diff) -> float:
         raise ValueError(
             f"expected {len(model.feature_names)} features, got shape {x.shape}"
         )
-    z = (x - model.feature_mean) / model.feature_scale
-    if model.kind in ("logistic", "linear-svm"):
-        return float(model.beta0 + z @ model.weights)
-    if model.support_set is None or model.gamma is None:
-        raise ValueError("rbf model is missing its support set or gamma")
-    k = _rbf_kernel(z[None, :], model.support_set, model.gamma)[0]
-    return float(k @ model.dual_coefficients + model.beta0)
+    spec = _KINDS[model.kind]
+    params = tuple(getattr(model, name) for name in spec.fields)
+    missing = [name.replace("_", " ") for name, v in zip(spec.fields, params) if v is None]
+    if missing:
+        raise ValueError(f"{model.kind} model is missing its {', '.join(missing)}")
+    return float(spec.decisions(params, x[None, :])[0])
 
 
 def predict_pair(model: PairwiseModel, feature_diff) -> float:
     """Probability that the first tokenizer of the pair is the better one."""
     d = decision_value(model, feature_diff)
-    if model.kind == "logistic":
+    if not _KINDS[model.kind].platt:
         return float(_sigmoid(d))
     if model.platt is None:
         raise ValueError(f"{model.kind} model has no Platt calibration")

@@ -33,18 +33,13 @@ class CorrelationResult:
 
 def midranks(values) -> np.ndarray:
     """Ranks 1..n with tied values sharing the average of their positions."""
-    v = np.asarray(values, dtype=float)
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    ranks = np.empty(len(v), dtype=float)
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(
+        np.asarray(values, dtype=float), return_inverse=True, return_counts=True
+    )
+    # A group of ties fills the 0-based sorted positions start .. end - 1.
+    end = np.cumsum(counts)
+    start = end - counts
+    return ((start + end + 1) / 2.0)[group]
 
 
 def _as_pair(x, y, min_n: int) -> tuple[np.ndarray, np.ndarray]:

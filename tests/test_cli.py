@@ -8,6 +8,7 @@ reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.metadata
 import json
@@ -34,7 +35,7 @@ from tokscope import (
     save_downstream_fixture,
     spearman,
 )
-from tokscope.cli import load_metric_dir
+from tokscope.cli import _build_parser, config_from_args, load_metric_dir
 
 from conftest import (
     SYNTH_SCALE,
@@ -356,6 +357,16 @@ class TestCorrelate:
         )
         assert not out.exists()
 
+    def test_error_line_counts_comment_lines(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text('# {"tool": "tokscope"}\nx,y\n1,2\n2,nan\n', encoding="utf-8")
+        assert cli("correlate", "--csv", csv_path, "--x-col", "x", "--y-col", "y",
+                   "--out", tmp_path / "corr.json") == 1
+        assert capsys.readouterr().err == (
+            f"tokscope: error: {csv_path} line 4: "
+            "non-numeric or non-finite value 'nan' in column 'y'\n"
+        )
+
     def test_missing_column_fails(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
         csv_path.write_text("x,y\n1,2\n", encoding="utf-8")
@@ -484,6 +495,35 @@ class TestSeedEnvironment:
                    "--out", tmp_path / "s.txt")
         assert code == 2
         assert "TOKSCOPE_SEED" in capsys.readouterr().err
+
+
+class TestParserDefaults:
+    """A flag left off the command line takes its RunConfig default."""
+
+    REQUIRED = {
+        "encode": {"vocab": "v.json", "merges": "m.txt", "corpus": "c.txt", "out": "o"},
+        "metrics": {"tokens": "t.tokens", "out": "o"},
+        "export-curve": {"tokens": "t.tokens", "out": "o"},
+        "correlate": {"csv_path": "d.csv", "x_col": "x", "y_col": "y", "out": "o"},
+        "predict": {"metrics_dir": "m", "out": "o"},
+        "rank": {"metrics_dir": "m", "heldout_language": "aa", "out": "o"},
+        "gen-zipf": {"out": "o"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_required_flags_only(self, command, monkeypatch):
+        monkeypatch.delenv("TOKSCOPE_SEED", raising=False)
+        given = self.REQUIRED[command]
+        argv = [command]
+        for name, value in given.items():
+            argv += ["--csv" if name == "csv_path" else "--" + name.replace("_", "-"), value]
+        config = config_from_args(_build_parser().parse_args(argv))
+        defaults = RunConfig(command=command)
+        for f in dataclasses.fields(RunConfig):
+            if f.name in given:
+                assert str(getattr(config, f.name)) == given[f.name]
+            else:
+                assert getattr(config, f.name) == getattr(defaults, f.name), f.name
 
 
 class TestRunDispatch:

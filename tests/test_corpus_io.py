@@ -367,6 +367,19 @@ class TestDownstreamFixture:
         with pytest.raises(ValueError, match="^" + message):
             load_downstream_fixture(path)
 
+    def test_error_line_counts_comment_lines(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "# note\n"
+            "tokenizer,scale,language,direction,metricx,chrf\n"
+            "tok,1B,aa,en-xx,1.0,40.0\n"
+            "tok,1B,bb,en-xx,nan,40.0\n",
+            encoding="utf-8",
+        )
+        message = re.escape(f"{path} line 4: scores must be finite")
+        with pytest.raises(ValueError, match="^" + message):
+            load_downstream_fixture(path)
+
     def test_directions_constant(self):
         assert DIRECTIONS == ("en-xx", "xx-en")
 

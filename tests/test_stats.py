@@ -91,6 +91,16 @@ class TestMidranks:
     def test_matches_naive_definition(self, values):
         assert midranks(values).tolist() == oracle_midranks(values)
 
+    @given(
+        st.one_of(
+            st.lists(st.integers(-4, 4), min_size=9, max_size=60),
+            st.lists(st.floats(-1e6, 1e6), min_size=9, max_size=60),
+        )
+    )
+    def test_matches_scipy_rankdata(self, values):
+        expected = scipy_stats.rankdata(values, method="average")
+        assert midranks(values).tolist() == expected.tolist()
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=25))
     def test_rank_sum_invariant(self, values):
         n = len(values)
