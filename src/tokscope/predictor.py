@@ -431,15 +431,15 @@ class _Kind:
 
 _LINEAR_FIELDS = ("feature_mean", "feature_scale", "beta0", "weights")
 _RBF_FIELDS = ("feature_mean", "feature_scale", "support_set", "dual_coefficients", "beta0", "gamma")
-_C_GRID = sorted(REGULARIZATION_GRID)
+_ASCENDING = sorted(REGULARIZATION_GRID)
 # Strongest regularization first, so that ties keep it: the largest lam,
 # the smallest C, then the smallest gamma.
 _KINDS = {
-    "logistic": _Kind(_LINEAR_FIELDS, ("lam",), tuple(product(_C_GRID[::-1])),
+    "logistic": _Kind(_LINEAR_FIELDS, ("lam",), tuple(product(_ASCENDING[::-1])),
                       _linear_decisions, platt=False),
-    "linear-svm": _Kind(_LINEAR_FIELDS, ("C",), tuple(product(_C_GRID)),
+    "linear-svm": _Kind(_LINEAR_FIELDS, ("C",), tuple(product(_ASCENDING)),
                         _linear_decisions, platt=True),
-    "rbf-svm": _Kind(_RBF_FIELDS, ("C", "gamma"), tuple(product(_C_GRID, sorted(GAMMA_GRID))),
+    "rbf-svm": _Kind(_RBF_FIELDS, ("C", "gamma"), tuple(product(_ASCENDING, sorted(GAMMA_GRID))),
                      _rbf_decisions, platt=True),
 }
 
