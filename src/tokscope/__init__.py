@@ -26,7 +26,6 @@ from .corpus_io import (
 )
 from .bpe import (
     BpeTokenizer,
-    Vocabulary,
     byte_to_unicode,
     decode,
     encode,
@@ -95,8 +94,8 @@ __all__ = [
     "Document", "DownstreamFixture", "ScoreEntry", "TokenSequence",
     "load_bundled_fixture", "load_corpus", "load_downstream_fixture",
     "load_token_stream", "save_downstream_fixture", "save_token_stream",
-    "BpeTokenizer", "Vocabulary", "byte_to_unicode", "decode", "encode",
-    "load_bpe", "pretokenize",
+    "BpeTokenizer", "byte_to_unicode", "decode", "encode", "load_bpe",
+    "pretokenize",
     "DEFAULT_TRUNCATION_BOUND", "LOG_BASE", "METRIC_NAMES", "SIMPSON_GRID",
     "MetricVector", "RankFrequencyCurve", "TokenFrequencyTable", "ZipfFit",
     "auc", "count_frequencies", "count_token_file", "metadata_block",

@@ -3,62 +3,47 @@
 Works with the common two-file format: a JSON vocabulary mapping token
 string to id, and a merges text file with one "left right" pair per
 line in priority order (earlier lines merge first), optionally preceded
-by a "#" header line.
+by a "#" header line. Loading turns the merges into a table over ids,
+(left id, right id) -> (rank, merged id), and rejects a merge whose
+parts or result are not in the vocabulary.
 
-Text is pre-tokenized with a regex, each piece is mapped to printable
-unicode stand-ins for its UTF-8 bytes, and merges are applied by
-repeatedly picking the adjacent pair with the lowest merge rank and
-fusing every occurrence of it left to right. Decoding inverts the byte
-mapping, so decode(encode(text)) == text for any vocabulary whose
-merges were built over the same byte alphabet.
+Text is pre-tokenized with a regex, and each piece starts as the ids of
+the one-byte tokens of its UTF-8 bytes, whose strings are printable
+unicode stand-ins for the bytes. Merges are applied by repeatedly
+picking the adjacent pair with the lowest merge rank and fusing every
+occurrence of it left to right. Decoding inverts the byte mapping, so
+decode(encode(text)) == text for any vocabulary whose merges were built
+over the same byte alphabet.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import regex
 
-from .corpus_io import TokenSequence
+from .corpus_io import TokenSequence, read_text
 
 # Splits text into contractions, letter runs, digit runs, punctuation
 # runs, and whitespace, with a single optional leading space attached
 # to each run. The trailing alternates keep inter-word spaces separate
 # from a final space that precedes a word.
-PRETOKENIZE_PATTERN = (
+_PRETOKENIZER = regex.compile(
     r"""'s|'t|'re|'ve|'m|'ll|'d| ?\p{L}+| ?\p{N}+| ?[^\s\p{L}\p{N}]+|\s+(?!\S)|\s+"""
 )
 
 
 @dataclass(frozen=True)
-class Vocabulary:
-    size: int
-    id_to_token: dict[int, str]
-
-
-@dataclass(frozen=True)
 class BpeTokenizer:
-    """A vocabulary and merge ranks, plus a memo of merged pieces."""
+    """A vocabulary and its merge table over ids, plus a memo of merged pieces."""
 
-    token_to_id: dict[str, int]
-    merge_ranks: dict[tuple[str, str], int]
-    pattern: str = PRETOKENIZE_PATTERN
-    id_to_token: dict[int, str] = field(default_factory=dict)
+    id_to_token: dict[int, str]
+    byte_ids: tuple[int | None, ...]  # the id of each byte's one-byte token, or None
+    merges: dict[tuple[int, int], tuple[int, int]]  # (left, right) -> (rank, merged)
     _cache: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self.id_to_token:
-            object.__setattr__(
-                self, "id_to_token", {i: t for t, i in self.token_to_id.items()}
-            )
-
-    @property
-    def vocabulary(self) -> Vocabulary:
-        return Vocabulary(size=len(self.token_to_id), id_to_token=self.id_to_token)
 
 
 def byte_to_unicode() -> dict[int, str]:
@@ -86,43 +71,36 @@ _BYTE_ENCODER = byte_to_unicode()
 _BYTE_DECODER = {c: b for b, c in _BYTE_ENCODER.items()}
 
 
-@lru_cache(maxsize=8)
-def _compiled(pattern: str):
-    return regex.compile(pattern)
-
-
-def pretokenize(text: str, pattern: str = PRETOKENIZE_PATTERN) -> list[str]:
+def pretokenize(text: str) -> list[str]:
     """Split text into pieces whose concatenation is exactly the text."""
-    return _compiled(pattern).findall(text)
+    return _PRETOKENIZER.findall(text)
 
 
-def load_bpe(vocab_path, merges_path, pattern: str = PRETOKENIZE_PATTERN) -> BpeTokenizer:
+def load_bpe(vocab_path, merges_path) -> BpeTokenizer:
     vocab_path, merges_path = Path(vocab_path), Path(merges_path)
-    with vocab_path.open(encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{vocab_path}: malformed JSON: {e.msg}") from e
+    try:
+        raw = json.loads(read_text(vocab_path))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{vocab_path}: malformed JSON: {e.msg}") from e
     if not isinstance(raw, dict):
         raise ValueError(f"{vocab_path}: vocabulary must be a JSON object")
-    token_to_id: dict[str, int] = {}
-    seen_ids: dict[int, str] = {}
+    id_to_token: dict[int, str] = {}
     for token, token_id in raw.items():
-        if not isinstance(token_id, int) or token_id < 0:
+        # bool is a subclass of int, so true and false are not ids.
+        if type(token_id) is not int or token_id < 0:
             raise ValueError(
                 f"{vocab_path}: token {token!r} has invalid id {token_id!r}"
             )
-        if token_id in seen_ids:
+        if token_id in id_to_token:
             raise ValueError(
                 f"{vocab_path}: id {token_id} assigned to both "
-                f"{seen_ids[token_id]!r} and {token!r}"
+                f"{id_to_token[token_id]!r} and {token!r}"
             )
-        seen_ids[token_id] = token
-        token_to_id[token] = token_id
+        id_to_token[token_id] = token
+    token_to_id = {token: token_id for token_id, token in id_to_token.items()}
 
-    merge_ranks: dict[tuple[str, str], int] = {}
-    with merges_path.open(encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    merges: dict[tuple[int, int], tuple[int, int]] = {}
+    lines = read_text(merges_path).splitlines()
     start = 1 if lines and lines[0].startswith("#") else 0
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
@@ -132,61 +110,66 @@ def load_bpe(vocab_path, merges_path, pattern: str = PRETOKENIZE_PATTERN) -> Bpe
             raise ValueError(
                 f"{merges_path} line {lineno}: expected two fields, got {len(parts)}"
             )
-        pair = (parts[0], parts[1])
-        if pair in merge_ranks:
-            raise ValueError(f"{merges_path} line {lineno}: duplicate merge {pair}")
+        for part in parts:
+            if part not in token_to_id:
+                raise ValueError(
+                    f"{merges_path} line {lineno}: {part!r} is not in the vocabulary"
+                )
+        pair = (token_to_id[parts[0]], token_to_id[parts[1]])
+        if pair in merges:
+            raise ValueError(
+                f"{merges_path} line {lineno}: duplicate merge {tuple(parts)}"
+            )
         merged = parts[0] + parts[1]
         if merged not in token_to_id:
             raise ValueError(
                 f"{merges_path} line {lineno}: merge result {merged!r} "
                 "is not in the vocabulary"
             )
-        merge_ranks[pair] = len(merge_ranks)
-    return BpeTokenizer(token_to_id=token_to_id, merge_ranks=merge_ranks, pattern=pattern)
+        merges[pair] = (len(merges), token_to_id[merged])
+    byte_ids = tuple(token_to_id.get(_BYTE_ENCODER[b]) for b in range(256))
+    return BpeTokenizer(id_to_token=id_to_token, byte_ids=byte_ids, merges=merges)
 
 
 def _merge_piece(tokenizer: BpeTokenizer, piece: str) -> tuple[int, ...]:
-    symbols = [_BYTE_ENCODER[b] for b in piece.encode("utf-8")]
-    ranks = tokenizer.merge_ranks
-    while len(symbols) > 1:
-        best_rank = None
-        best_pair = None
-        for pair in zip(symbols, symbols[1:]):
-            rank = ranks.get(pair)
-            if rank is not None and (best_rank is None or rank < best_rank):
-                best_rank, best_pair = rank, pair
-        if best_pair is None:
+    data = piece.encode("utf-8")
+    ids = [tokenizer.byte_ids[b] for b in data]
+    if None in ids:
+        symbol = _BYTE_ENCODER[data[ids.index(None)]]
+        raise ValueError(
+            f"symbol {symbol!r} is not in the vocabulary; "
+            "vocab and merges files are inconsistent"
+        )
+    merges = tokenizer.merges
+    while len(ids) > 1:
+        best = None
+        for pair in zip(ids, ids[1:]):
+            found = merges.get(pair)
+            # Ranks are distinct, so the (rank, merged) tuples order by rank.
+            if found is not None and (best is None or found < best):
+                best, (left, right) = found, pair
+        if best is None:
             break
-        merged = best_pair[0] + best_pair[1]
+        merged = best[1]
         out = []
-        i = 0
-        while i < len(symbols):
-            if (
-                i + 1 < len(symbols)
-                and symbols[i] == best_pair[0]
-                and symbols[i + 1] == best_pair[1]
-            ):
+        i, last = 0, len(ids) - 1
+        while i < last:
+            if ids[i] == left and ids[i + 1] == right:
                 out.append(merged)
                 i += 2
             else:
-                out.append(symbols[i])
+                out.append(ids[i])
                 i += 1
-        symbols = out
-    ids = []
-    for sym in symbols:
-        if sym not in tokenizer.token_to_id:
-            raise ValueError(
-                f"symbol {sym!r} is not in the vocabulary; "
-                "vocab and merges files are inconsistent"
-            )
-        ids.append(tokenizer.token_to_id[sym])
+        if i == last:
+            out.append(ids[last])
+        ids = out
     return tuple(ids)
 
 
 def encode(tokenizer: BpeTokenizer, text: str, name: str = "") -> TokenSequence:
     ids: list[int] = []
     cache = tokenizer._cache
-    for piece in pretokenize(text, tokenizer.pattern):
+    for piece in pretokenize(text):
         cached = cache.get(piece)
         if cached is None:
             cached = _merge_piece(tokenizer, piece)

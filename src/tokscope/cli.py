@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,6 +31,7 @@ from .corpus_io import (
     load_corpus,
     load_downstream_fixture,
     read_commented_csv,
+    read_text,
     save_token_stream,
 )
 from .predictor import (
@@ -151,29 +153,29 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
         return count_token_file(config.tokens), name
     _require(config, "vocab", "merges", "corpus")
     name = config.tokenizer_name or Path(config.vocab).stem
-    return count_blocks([_encode_corpus(config)], str(config.corpus)), name
+    # The spent generator lets go of the documents, and the per-document
+    # ids go once concatenated, so neither is held during the count.
+    ids = np.concatenate([np.zeros(0, dtype=np.int64), *_encoded_documents(config)])
+    return count_blocks([ids], str(config.corpus)), name
 
 
-def _encode_corpus(config: RunConfig) -> np.ndarray:
-    """The ids of every document of --corpus, concatenated.
+def _encoded_documents(config: RunConfig) -> Iterator[np.ndarray]:
+    """The ids of each document of --corpus, in order.
 
-    The documents and their per-document ids are freed on return, before
-    the stream is counted.
+    The tokenizer and the corpus are loaded by this call, and each
+    document is encoded only as the result is iterated.
     """
     tokenizer = bpe_mod.load_bpe(config.vocab, config.merges)
     docs = load_corpus(config.corpus, config.corpus_format)
-    ids = [bpe_mod.encode(tokenizer, d.text).tokens for d in docs]
-    return np.concatenate([np.zeros(0, dtype=np.int64), *ids])
+    return (bpe_mod.encode(tokenizer, d.text).tokens for d in docs)
 
 
 def _cmd_encode(config: RunConfig) -> int:
     _require(config, "vocab", "merges", "corpus", "out")
-    tokenizer = bpe_mod.load_bpe(config.vocab, config.merges)
-    docs = load_corpus(config.corpus, config.corpus_format)
+    documents = _encoded_documents(config)
     with Path(config.out).open("w", encoding="utf-8") as fh:
         fh.write(_comment_line(config) + "\n")
-        for doc in docs:
-            ids = bpe_mod.encode(tokenizer, doc.text).tokens
+        for ids in documents:
             fh.write(" ".join(map(str, ids.tolist())) + "\n")
     return 0
 
@@ -218,22 +220,21 @@ def _cmd_export_curve(config: RunConfig) -> int:
 def _cmd_correlate(config: RunConfig) -> int:
     _require(config, "csv_path", "x_col", "y_col", "out")
     xs, ys = [], []
-    with Path(config.csv_path).open(encoding="utf-8", newline="") as fh:
-        _, rows = read_commented_csv(fh)
-        for lineno, row in rows:
-            for col, dest in ((config.x_col, xs), (config.y_col, ys)):
-                if col not in row or row[col] is None:
-                    raise ValueError(f"{config.csv_path} line {lineno}: no column {col!r}")
-                try:
-                    value = float(row[col])
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{config.csv_path} line {lineno}: "
-                        f"non-numeric or non-finite value {row[col]!r} in column {col!r}"
-                    )
-                dest.append(value)
+    _, rows = read_commented_csv(read_text(config.csv_path))
+    for lineno, row in rows:
+        for col, dest in ((config.x_col, xs), (config.y_col, ys)):
+            if col not in row or row[col] is None:
+                raise ValueError(f"{config.csv_path} line {lineno}: no column {col!r}")
+            try:
+                value = float(row[col])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{config.csv_path} line {lineno}: "
+                    f"non-numeric or non-finite value {row[col]!r} in column {col!r}"
+                )
+            dest.append(value)
     if config.method == "spearman":
         result = spearman(xs, ys)
     elif config.method == "kendall":
@@ -269,11 +270,10 @@ def load_metric_dir(path) -> dict[tuple[str, str], MetricVector]:
         raise ValueError(f"{path} is not a directory")
     metrics = {}
     for child in sorted(path.glob("*.json")):
-        with child.open(encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{child}: malformed JSON: {e.msg}") from e
+        try:
+            data = json.loads(read_text(child))
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{child}: malformed JSON: {e.msg}") from e
         if "tokenizer" not in data or "language" not in data:
             raise ValueError(f"{child}: record lacks tokenizer/language fields")
         key = (str(data["tokenizer"]), str(data["language"]))
@@ -377,7 +377,8 @@ def run(config: RunConfig) -> int:
     try:
         return _COMMANDS[config.command](config)
     except (ValueError, KeyError, OSError, RuntimeError) as e:
-        message = e.args[0] if e.args else e
+        # str() of a KeyError is the repr of its message, quotes and all.
+        message = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"tokscope: error: {message}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ vectorized numpy, so a caller that folds the blocks (such as
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -124,18 +125,21 @@ class DownstreamFixture:
         return sorted({k[1] for k in self.entries})
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text, with line endings as they are in the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: invalid UTF-8: {e}") from None
+
+
 def load_corpus(path, format: str = "plaintext-lines") -> list[Document]:
     """Load documents from a plaintext-lines or jsonl file.
 
     Empty lines (and jsonl records with empty text) are skipped: they
     contribute no tokens and would distort per-document statistics.
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: invalid UTF-8: {e}") from e
-
+    raw = read_text(path)
     docs: list[Document] = []
     seen_ids: set[str] = set()
     if format == "plaintext-lines":
@@ -315,20 +319,17 @@ def save_token_stream(seq: TokenSequence, path, header: str | None = None) -> No
 
 def load_downstream_fixture(path) -> DownstreamFixture:
     """Load a downstream-score CSV (header: tokenizer,scale,language,direction,metricx,chrf)."""
-    path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
-        return _parse_fixture(fh, str(path))
+    return _parse_fixture(read_text(path), str(path))
 
 
 def load_bundled_fixture() -> DownstreamFixture:
     """The MT-score table shipped with the package."""
     ref = resources.files("tokscope").joinpath("data", BUNDLED_SCORES)
-    with ref.open(encoding="utf-8", newline="") as fh:
-        return _parse_fixture(fh, BUNDLED_SCORES)
+    return _parse_fixture(ref.read_bytes().decode("utf-8"), BUNDLED_SCORES)
 
 
-def read_commented_csv(fh) -> tuple[list[str], Iterator[tuple[int, dict]]]:
-    """The header and (line number, row) pairs of a CSV with "#" comment lines.
+def read_commented_csv(text: str) -> tuple[list[str], Iterator[tuple[int, dict]]]:
+    """The header and (line number, row) pairs of CSV text with "#" comment lines.
 
     A line that starts with "#" is skipped. Line numbers are physical:
     they count the comment lines too, and a row that spans lines gets the
@@ -338,7 +339,7 @@ def read_commented_csv(fh) -> tuple[list[str], Iterator[tuple[int, dict]]]:
 
     def lines():
         nonlocal lineno
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
             if not line.startswith("#"):
                 yield line
 
@@ -346,8 +347,8 @@ def read_commented_csv(fh) -> tuple[list[str], Iterator[tuple[int, dict]]]:
     return reader.fieldnames or [], ((lineno, row) for row in reader)
 
 
-def _parse_fixture(fh, source: str) -> DownstreamFixture:
-    header, rows = read_commented_csv(fh)
+def _parse_fixture(text: str, source: str) -> DownstreamFixture:
+    header, rows = read_commented_csv(text)
     missing = set(FIXTURE_COLUMNS) - set(header)
     if missing:
         raise ValueError(f"{source}: missing columns: {sorted(missing)}")

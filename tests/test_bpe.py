@@ -13,14 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokscope import (
-    BpeTokenizer,
-    byte_to_unicode,
-    decode,
-    encode,
-    load_bpe,
-    pretokenize,
-)
+from conftest import TRAINING_TEXT, apply_merge
+from tokscope import byte_to_unicode, decode, encode, load_bpe, pretokenize
 
 
 def write_pair(tmp_path, vocab: dict[str, int], merges: list[str], header=True):
@@ -102,6 +96,17 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match="JSON object"):
             load_bpe(vocab_path, merges_path)
 
+    @pytest.mark.parametrize("vocab", [{"a": True}, {"a": True, "b": 1}, {"a": False}])
+    def test_boolean_id_rejected(self, tmp_path, vocab):
+        vocab_path, merges_path = write_pair(tmp_path, vocab, [])
+        with pytest.raises(ValueError, match="token 'a' has invalid id"):
+            load_bpe(vocab_path, merges_path)
+
+    def test_merge_part_must_exist(self, tmp_path):
+        vocab_path, merges_path = write_pair(tmp_path, {"a": 0, "ab": 1}, ["a b"])
+        with pytest.raises(ValueError, match="line 2: 'b' is not in the vocabulary"):
+            load_bpe(vocab_path, merges_path)
+
     def test_merge_result_must_exist(self, tmp_path):
         vocab_path, merges_path = write_pair(tmp_path, {"a": 0, "b": 1}, ["a b"])
         with pytest.raises(ValueError, match="line 2.*not in the vocabulary"):
@@ -127,7 +132,7 @@ class TestLoadErrors:
             (tmp_path / sub).mkdir()
         tok_h = load_bpe(*write_pair(tmp_path / "h", vocab, ["a b"], header=True))
         tok_n = load_bpe(*write_pair(tmp_path / "n", vocab, ["a b"], header=False))
-        assert tok_h.merge_ranks == tok_n.merge_ranks == {("a", "b"): 0}
+        assert tok_h.merges == tok_n.merges == {(0, 1): (0, 2)}
 
 
 class TestEncode:
@@ -181,19 +186,13 @@ class TestDecode:
         tok = load_bpe(vocab_path, merges_path)
         assert decode(tok, [6, 7]) == "lower"
 
-    def test_token_outside_byte_alphabet(self):
-        tok = BpeTokenizer(token_to_id={"☃": 0}, merge_ranks={})
+    def test_token_outside_byte_alphabet(self, tmp_path):
+        tok = load_bpe(*write_pair(tmp_path, {"☃": 0}, []))
         with pytest.raises(ValueError, match="byte alphabet"):
             decode(tok, [0])
 
 
 class TestTrainedRoundTrip:
-    def test_vocabulary_property(self, trained_bpe):
-        tok, _, _ = trained_bpe
-        vocab = tok.vocabulary
-        assert vocab.size == len(tok.token_to_id)
-        assert vocab.id_to_token[0] == tok.id_to_token[0]
-
     def test_mixed_script_round_trip(self, trained_bpe):
         tok, _, _ = trained_bpe
         text = "Die Katze schläft.  Чёрный кот 猫が好き 123 !?"
@@ -209,5 +208,35 @@ class TestTrainedRoundTrip:
         _, vocab_path, merges_path = trained_bpe
         a = load_bpe(vocab_path, merges_path)
         b = load_bpe(vocab_path, merges_path)
-        assert a.token_to_id == b.token_to_id
-        assert a.merge_ranks == b.merge_ranks
+        assert a.id_to_token == b.id_to_token
+        assert a.byte_ids == b.byte_ids
+        assert a.merges == b.merges
+
+
+def reference_encode(text, vocab_path, merges_path) -> list[int]:
+    """BPE over the files' token strings: the lowest-rank pair merges first."""
+    vocab = json.loads(vocab_path.read_text(encoding="utf-8"))
+    lines = merges_path.read_text(encoding="utf-8").splitlines()[1:]
+    ranks = {tuple(line.split()): rank for rank, line in enumerate(lines)}
+    enc = byte_to_unicode()
+    ids = []
+    for piece in pretokenize(text):
+        symbols = tuple(enc[b] for b in piece.encode("utf-8"))
+        while pairs := [p for p in zip(symbols, symbols[1:]) if p in ranks]:
+            symbols = apply_merge(symbols, min(pairs, key=ranks.__getitem__))
+        ids.extend(vocab[s] for s in symbols)
+    return ids
+
+
+class TestTrainedIds:
+    # Arbitrary text rarely meets a multi-byte merge, so words of the
+    # training text are drawn too.
+    @settings(deadline=None)
+    @given(
+        st.text(max_size=120)
+        | st.lists(st.sampled_from(TRAINING_TEXT.split()), max_size=20).map(" ".join)
+    )
+    def test_encode_matches_string_reference(self, trained_bpe, text):
+        tok, vocab_path, merges_path = trained_bpe
+        expected = reference_encode(text, vocab_path, merges_path)
+        assert encode(tok, text).tokens.tolist() == expected

@@ -250,6 +250,45 @@ class TestExportCurve:
             assert float(r[3]) == math.log(int(r[1]))
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["missing input", "out is a directory", "vocab", "merges", "metric record",
+     "correlate csv", "fixture csv"],
+)
+def test_file_error_names_the_file(tmp_path, capsys, trained_bpe, synth_cli_world, case):
+    _, vocab, merges = trained_bpe
+    metrics_dir, fixture = synth_cli_world
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("some text\n", encoding="utf-8")
+    missing, directory = tmp_path / "none.tokens", tmp_path / "dir"
+    directory.mkdir()
+    bad = metrics_dir / "zz.json" if case == "metric record" else tmp_path / "bad"
+    bad.write_bytes(b"\xff\n")
+    encode = ["encode", "--corpus", corpus]
+    argv, culprit, message = {
+        "missing input": (["metrics", "--tokens", missing], missing,
+                          "[Errno 2] No such file or directory"),
+        "out is a directory": (["gen-zipf", "--out", directory], directory,
+                               "[Errno 21] Is a directory"),
+        "vocab": (encode + ["--vocab", bad, "--merges", merges], bad, "invalid UTF-8"),
+        "merges": (encode + ["--vocab", vocab, "--merges", bad], bad, "invalid UTF-8"),
+        "metric record": (["predict", "--fixture", fixture, "--metrics-dir", metrics_dir],
+                          bad, "invalid UTF-8"),
+        "correlate csv": (["correlate", "--csv", bad, "--x-col", "x", "--y-col", "y"],
+                          bad, "invalid UTF-8"),
+        "fixture csv": (["predict", "--fixture", bad, "--metrics-dir", metrics_dir],
+                        bad, "invalid UTF-8"),
+    }[case]
+    out = tmp_path / "out"
+    if case != "out is a directory":
+        argv += ["--out", out]
+    assert cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tokscope: error: ") and err.endswith("\n")
+    assert str(culprit) in err and message in err
+    assert not out.exists()
+
+
 class TestEncode:
     def test_one_line_per_document(self, tmp_path, trained_bpe):
         tok, vocab_path, merges_path = trained_bpe

@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -304,6 +305,9 @@ class TestFitLogistic:
         d=st.integers(1, 4),
         spread=st.sampled_from((0.1, 1.0, 10.0)),
     )
+    # At lam = 0 this draw's Hessian has an eigenvalue near 2e-6, and
+    # trust-exact alone stops 1.3e-6 from the optimum.
+    @hypothesis.example(seed=607, n_random=1, d=1, spread=10.0)
     @pytest.mark.parametrize("lam", (0.0, *REGULARIZATION_GRID))
     def test_newton_matches_scipy(self, lam, seed, n_random, d, spread):
         # d + 1 anchor points carry both labels, so no direction separates
@@ -340,9 +344,15 @@ class TestFitLogistic:
         theta = np.append(b, w)
         assert np.linalg.norm(gradient(theta)) <= 2 * predictor.NEWTON_GRAD_TOL
         # trust-exact can stop on a rounding-limited step a little short
-        # of the optimum, so its own gradient is held to a looser bound.
+        # of the optimum, so its own gradient is held to a looser bound,
+        # and where the problem is ill-conditioned a small gradient still
+        # leaves a visible distance: Newton steps polish its point.
         assert np.linalg.norm(gradient(result.x)) <= 1e-7
-        np.testing.assert_allclose(theta, result.x, rtol=0.0, atol=1e-6)
+        reference = result.x
+        for _ in range(3):
+            step = np.linalg.lstsq(hessian(reference), gradient(reference), rcond=None)[0]
+            reference = reference - step
+        np.testing.assert_allclose(theta, reference, rtol=0.0, atol=1e-6)
 
     def test_cv_selects_from_grid(self, synth_dataset):
         model = fit_logistic(synth_dataset, feature_names=METRIC_NAMES)
