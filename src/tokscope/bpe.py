@@ -38,12 +38,17 @@ _PRETOKENIZER = regex.compile(
 
 @dataclass(frozen=True)
 class BpeTokenizer:
-    """A vocabulary and its merge table over ids, plus a memo of merged pieces."""
+    """A vocabulary and its merge table over ids, plus memos of merged pieces.
+
+    `_cache` holds each piece's ids for `encode`; `_lines` holds the same
+    ids as space-separated decimal text for `encode_line`.
+    """
 
     id_to_token: dict[int, str]
     byte_ids: tuple[int | None, ...]  # the id of each byte's one-byte token, or None
     merges: dict[tuple[int, int], tuple[int, int]]  # (left, right) -> (rank, merged)
     _cache: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    _lines: dict[str, str] = field(default_factory=dict, repr=False)
 
 
 def byte_to_unicode() -> dict[int, str]:
@@ -176,6 +181,20 @@ def encode(tokenizer: BpeTokenizer, text: str, name: str = "") -> TokenSequence:
             cache[piece] = cached
         ids.extend(cached)
     return TokenSequence(tokens=np.asarray(ids, dtype=np.int64), source_tokenizer=name)
+
+
+def encode_line(tokenizer: BpeTokenizer, text: str) -> str:
+    """The ids of `encode(tokenizer, text)` as space-separated decimals.
+
+    Each distinct piece is merged and rendered once; a line joins the
+    rendered pieces, so no id passes through a list or an array.
+    """
+    memo = tokenizer._lines
+    pieces = pretokenize(text)
+    for piece in pieces:
+        if piece not in memo:
+            memo[piece] = " ".join(map(str, _merge_piece(tokenizer, piece)))
+    return " ".join([memo[piece] for piece in pieces])
 
 
 def decode(tokenizer: BpeTokenizer, tokens) -> str:

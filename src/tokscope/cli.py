@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import bpe as bpe_mod
 from .corpus_io import (
     TokenSequence,
     load_bundled_fixture,
@@ -152,31 +150,41 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
             name = Path(config.tokens).stem
         return count_token_file(config.tokens), name
     _require(config, "vocab", "merges", "corpus")
+    from . import bpe  # regex is loaded only by the commands that encode
+
     name = config.tokenizer_name or Path(config.vocab).stem
+    tokenizer = bpe.load_bpe(config.vocab, config.merges)
     # The spent generator lets go of the documents, and the per-document
     # ids go once concatenated, so neither is held during the count.
-    ids = np.concatenate([np.zeros(0, dtype=np.int64), *_encoded_documents(config)])
+    encoded = (bpe.encode(tokenizer, d.text).tokens
+               for d in load_corpus(config.corpus, config.corpus_format))
+    ids = np.concatenate([np.zeros(0, dtype=np.int64), *encoded])
     return count_blocks([ids], str(config.corpus)), name
-
-
-def _encoded_documents(config: RunConfig) -> Iterator[np.ndarray]:
-    """The ids of each document of --corpus, in order.
-
-    The tokenizer and the corpus are loaded by this call, and each
-    document is encoded only as the result is iterated.
-    """
-    tokenizer = bpe_mod.load_bpe(config.vocab, config.merges)
-    docs = load_corpus(config.corpus, config.corpus_format)
-    return (bpe_mod.encode(tokenizer, d.text).tokens for d in docs)
 
 
 def _cmd_encode(config: RunConfig) -> int:
     _require(config, "vocab", "merges", "corpus", "out")
-    documents = _encoded_documents(config)
-    with Path(config.out).open("w", encoding="utf-8") as fh:
-        fh.write(_comment_line(config) + "\n")
-        for ids in documents:
-            fh.write(" ".join(map(str, ids.tolist())) + "\n")
+    from . import bpe
+
+    tokenizer = bpe.load_bpe(config.vocab, config.merges)
+    docs = load_corpus(config.corpus, config.corpus_format)
+    out = Path(config.out)
+    with out.open("w", encoding="utf-8") as fh:
+        try:
+            fh.write(_comment_line(config) + "\n")
+            for doc in docs:
+                try:
+                    line = bpe.encode_line(tokenizer, doc.text)
+                except ValueError as e:
+                    raise ValueError(f"{config.corpus} document {doc.id}: {e}") from None
+                fh.write(line + "\n")
+        except BaseException:
+            # A failed run leaves no token file, not a partial one. Only a
+            # regular file is removed: --out may name a device or a link.
+            fh.close()
+            if out.is_file() and not out.is_symlink():
+                out.unlink()
+            raise
     return 0
 
 
@@ -274,6 +282,8 @@ def load_metric_dir(path) -> dict[tuple[str, str], MetricVector]:
             data = json.loads(read_text(child))
         except json.JSONDecodeError as e:
             raise ValueError(f"{child}: malformed JSON: {e.msg}") from e
+        if not isinstance(data, dict):
+            raise ValueError(f"{child}: record is not a JSON object")
         if "tokenizer" not in data or "language" not in data:
             raise ValueError(f"{child}: record lacks tokenizer/language fields")
         key = (str(data["tokenizer"]), str(data["language"]))
@@ -406,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merges", type=Path)
     p.add_argument("--corpus", type=Path)
     p.add_argument("--format", dest="corpus_format", choices=["plaintext-lines", "jsonl"])
-    p.add_argument("--tokenizer-name")
     common(p)
 
     p = sub.add_parser("metrics", help="compute the metric vector of a token stream")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TRAINING_TEXT, apply_merge
-from tokscope import byte_to_unicode, decode, encode, load_bpe, pretokenize
+from tokscope import byte_to_unicode, decode, encode, encode_line, load_bpe, pretokenize
 
 
 def write_pair(tmp_path, vocab: dict[str, int], merges: list[str], header=True):
@@ -240,3 +240,29 @@ class TestTrainedIds:
         tok, vocab_path, merges_path = trained_bpe
         expected = reference_encode(text, vocab_path, merges_path)
         assert encode(tok, text).tokens.tolist() == expected
+
+
+# Pieces that recur within a text, with tabs, runs of spaces, trailing
+# whitespace, several scripts and emoji between them.
+MIXED_PIECES = [
+    "the", " the", " quick", " schläft", "Чёрный", " кот", "猫が好き", "。",
+    "🙂", " 🚀", "🎉🎉", "123", " 2.71828", "!!", "'ll", "\t", " ", "  ", "\t ",
+]
+
+
+class TestEncodeLine:
+    @settings(deadline=None)
+    @given(
+        st.text(max_size=120)
+        | st.lists(st.sampled_from(MIXED_PIECES), max_size=30).map("".join)
+    )
+    def test_matches_encode(self, trained_bpe, text):
+        tok, _, _ = trained_bpe
+        expected = " ".join(map(str, encode(tok, text).tokens.tolist()))
+        # The second call reads every piece from the memo.
+        assert encode_line(tok, text) == expected
+        assert encode_line(tok, text) == expected
+
+    def test_empty_text_is_an_empty_line(self, trained_bpe):
+        tok, _, _ = trained_bpe
+        assert encode_line(tok, "") == ""

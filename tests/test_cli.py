@@ -319,6 +319,51 @@ class TestEncode:
             " ".join(map(str, encode(tok, d).tokens.tolist())) for d in docs
         ]
 
+    def test_each_distinct_piece_is_merged_once(self, tmp_path, trained_bpe, monkeypatch):
+        _, vocab_path, merges_path = trained_bpe
+        docs = ["the cat and the dog", "the dog\tand  the cat ", "猫 猫 🙂🙂 the cat",
+                "the cat and the dog"]
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(docs) + "\n", encoding="utf-8")
+        from tokscope import bpe
+        merged = Counter()
+        merge_piece = bpe._merge_piece
+
+        def counting(tokenizer, piece):
+            merged[piece] += 1
+            return merge_piece(tokenizer, piece)
+
+        monkeypatch.setattr(bpe, "_merge_piece", counting)
+        assert cli("encode", "--vocab", vocab_path, "--merges", merges_path,
+                   "--corpus", corpus, "--out", tmp_path / "enc.txt") == 0
+        pieces = [p for d in docs for p in bpe.pretokenize(d)]
+        assert len(pieces) > len(set(pieces))
+        assert merged == Counter(set(pieces))
+
+    @pytest.mark.parametrize("corpus_format, text, doc_id", [
+        ("plaintext-lines", "a\n\nabc\n", "3"),
+        ("jsonl", '{"id": "x1", "text": "a"}\n{"id": "x2", "text": "abc"}\n', "x2"),
+    ])
+    def test_failure_names_the_document_and_leaves_no_output(
+            self, tmp_path, capsys, corpus_format, text, doc_id):
+        vocab, merges = tmp_path / "v.json", tmp_path / "m.txt"
+        vocab.write_text('{"a": 0}', encoding="utf-8")
+        merges.write_text("", encoding="utf-8")
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(text, encoding="utf-8")
+        out = tmp_path / "enc.txt"
+        assert cli("encode", "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+                   "--format", corpus_format, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tokscope: error: {corpus} document {doc_id}: symbol 'b' ")
+        assert not out.exists()
+
+    def test_tokenizer_name_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli("encode", "--tokenizer-name", "x", "--out", tmp_path / "enc.txt")
+        assert exc.value.code == 2
+        assert "--tokenizer-name" in capsys.readouterr().err
+
     def test_stream_loads_back(self, tmp_path, trained_bpe):
         _, vocab_path, merges_path = trained_bpe
         corpus = tmp_path / "c.txt"
@@ -507,6 +552,14 @@ class TestMetricDir:
         bad = json.loads(text)
         assert str(exc.value) == f"{path}: field {field!r} is not a finite number: {bad!r}"
 
+    @pytest.mark.parametrize("text", ["5", '"x"', "null"])
+    def test_record_that_is_not_an_object_rejected(self, tmp_path, text):
+        path = tmp_path / "a.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_metric_dir(tmp_path)
+        assert str(exc.value) == f"{path}: record is not a JSON object"
+
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no \\*.json"):
             load_metric_dir(tmp_path)
@@ -597,6 +650,26 @@ class TestRunDispatch:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"tokscope {importlib.metadata.version('tokscope')}"
 
+    def test_cli_import_leaves_bpe_unloaded(self):
+        # Only encode and metrics --corpus need bpe and, with it, regex.
+        proc = fresh_python(
+            "-c", "import sys; from tokscope.cli import main; "
+            "print(sorted(m for m in ('regex', 'tokscope.bpe') if m in sys.modules))")
+        assert proc.stdout.strip() == "[]"
+
+    def test_python_m_tokscope_cli_warns_nothing(self):
+        proc = fresh_python("-W", "error::RuntimeWarning", "-m", "tokscope.cli", "--version")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"tokscope {tokscope.__version__}\n"
+
+    def test_every_public_name_imports(self):
+        proc = fresh_python(
+            "-c", "import tokscope; "
+            "exec('from tokscope import ' + ', '.join(tokscope.__all__)); "
+            "print(len(tokscope.__all__))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(len(tokscope.__all__))
+
     def test_cli_import_leaves_scipy_unloaded(self):
         # scipy is needed only for spearman's large-n p-value; loading it
         # with the CLI would cost every command about 0.3 s.
@@ -608,6 +681,13 @@ class TestRunDispatch:
             env={**os.environ, "PYTHONPATH": package_root},
         )
         assert proc.stdout.strip() == "[]"
+
+
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports tokscope from this checkout."""
+    package_root = str(Path(tokscope.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": package_root})
 
 
 def declared_console_script():
