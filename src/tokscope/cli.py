@@ -156,10 +156,19 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
     tokenizer = bpe.load_bpe(config.vocab, config.merges)
     # The spent generator lets go of the documents, and the per-document
     # ids go once concatenated, so neither is held during the count.
-    encoded = (bpe.encode(tokenizer, d.text).tokens
-               for d in load_corpus(config.corpus, config.corpus_format))
-    ids = np.concatenate([np.zeros(0, dtype=np.int64), *encoded])
+    encoded = _encode_documents(config, load_corpus(config.corpus, config.corpus_format),
+                                tokenizer, bpe.encode)
+    ids = np.concatenate([np.zeros(0, dtype=np.int64), *(e.tokens for e in encoded)])
     return count_blocks([ids], str(config.corpus)), name
+
+
+def _encode_documents(config: RunConfig, docs, tokenizer, encode):
+    """encode(tokenizer, text) for each document; a failure names the corpus and document."""
+    for doc in docs:
+        try:
+            yield encode(tokenizer, doc.text)
+        except ValueError as e:
+            raise ValueError(f"{config.corpus} document {doc.id}: {e}") from None
 
 
 def _cmd_encode(config: RunConfig) -> int:
@@ -172,11 +181,7 @@ def _cmd_encode(config: RunConfig) -> int:
     with out.open("w", encoding="utf-8") as fh:
         try:
             fh.write(_comment_line(config) + "\n")
-            for doc in docs:
-                try:
-                    line = bpe.encode_line(tokenizer, doc.text)
-                except ValueError as e:
-                    raise ValueError(f"{config.corpus} document {doc.id}: {e}") from None
+            for line in _encode_documents(config, docs, tokenizer, bpe.encode_line):
                 fh.write(line + "\n")
         except BaseException:
             # A failed run leaves no token file, not a partial one. Only a

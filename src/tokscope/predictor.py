@@ -17,10 +17,14 @@ PairwiseModel fields that the kind's core fit fills, its hyperparameter
 names and grid candidates, its decision function, and whether Platt
 scaling applies. Hyperparameters are chosen by stratified k-fold CV on
 mean F1 of the labels decision > 0, with ties resolved toward stronger
-regularization. The SVMs calibrate Platt scaling on out-of-fold
-decisions from the fold models that the search already fit at the
-chosen value. decision_value applies the same decision function to a
-fitted model.
+regularization. For the RBF SVM the search warm-starts SMO along the C
+grid: each fold fit starts from the dual solution of the same fold and
+gamma at the next smaller C. Warm fits only score candidates; every fit
+that reaches a model is cold. That is the final fit, and the fold fits
+whose out-of-fold decisions calibrate the SVMs' Platt scaling: the
+search's own fold fits at the chosen value where those were cold,
+refits from zero where they were warm. decision_value applies the same
+decision function to a fitted model.
 """
 
 from __future__ import annotations
@@ -136,15 +140,15 @@ def _stratified_folds(y: np.ndarray, k: int) -> list[np.ndarray]:
     return [np.array(sorted(f), dtype=np.intp) for f in folds]
 
 
-def _fold_fits(X, y, folds, fit_core, args) -> list:
-    """(held-out indices, params) for each nonempty fold, fit on the rest."""
-    fits = []
-    for held in folds:
-        if len(held) == 0:
-            continue
-        train = np.setdiff1d(np.arange(len(y)), held)
-        fits.append((held, fit_core(X[train], y[train], *args)))
-    return fits
+def _splits(y: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(held-out, training) indices for each nonempty stratified fold."""
+    everything = np.arange(len(y))
+    return [(held, np.setdiff1d(everything, held)) for held in _stratified_folds(y, k) if len(held)]
+
+
+def _fold_fits(X, y, splits, fit_core, args) -> list:
+    """(held-out indices, params) for each split, fit from zero on its training part."""
+    return [(held, fit_core(X[train], y[train], *args)) for held, train in splits]
 
 
 def _fold_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -152,21 +156,41 @@ def _fold_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
     return f1_score(predicted, actual) if predicted.any() or actual.any() else 1.0
 
 
-def _select(X, y, folds, candidates, fit_core, decision_fn):
-    """The candidate with the best CV mean F1, and its fold fits.
+def _select(X, y, splits, spec, fit_core):
+    """The candidate with the best CV mean F1, and its fold fits from zero.
 
     Candidates are argument tuples for fit_core, given in tie-break
     order: only a strictly better score displaces an earlier one. A fold
     example is labelled positive where its decision is above zero.
+
+    For a kind with warm starts (rbf-svm) the candidates run C-major with
+    C ascending, and each fold fit starts from the dual solution of the
+    same fold and the same other hyperparameters at the next smaller C,
+    which is feasible for the larger box. The warm state lives in this
+    call only. Warm fits only score candidates: where the winner's fold
+    fits were warm-started they are refit from zero, so every fit that
+    reaches a model or its Platt scaling is cold.
     """
-    best_score, best, best_fits = -np.inf, None, None
-    for args in candidates:
-        fits = _fold_fits(X, y, folds, fit_core, args)
+    best_score, best, best_fits, best_warm = -np.inf, None, None, False
+    starts = {}  # (fold, hyperparameters but C) -> dual solution at the last C fitted
+    for args in spec.candidates:
+        fits, warm = [], False
+        for fold, (held, train) in enumerate(splits):
+            if spec.warm:
+                key = (fold, args[1:])
+                warm = key in starts
+                params = fit_core(X[train], y[train], *args, starts.get(key))
+                starts[key] = params[-1]
+            else:
+                params = fit_core(X[train], y[train], *args)
+            fits.append((held, params))
         score = float(np.mean(
-            [_fold_f1(decision_fn(params, X[held]) > 0.0, y[held]) for held, params in fits]
+            [_fold_f1(spec.decisions(params, X[held]) > 0.0, y[held]) for held, params in fits]
         ))
         if score > best_score:
-            best_score, best, best_fits = score, args, fits
+            best_score, best, best_fits, best_warm = score, args, fits, warm
+    if best_warm:
+        best_fits = _fold_fits(X, y, splits, fit_core, best)
     return best, best_fits
 
 
@@ -313,16 +337,21 @@ def _rbf_kernel(A, B, gamma):
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
-def _smo(K, sign, C):
+def _smo(K, sign, C, start=None):
     """Solve the C-SVM dual by sequential minimal optimization.
 
     Working pairs are the maximal KKT violators (first index wins ties);
     the loop stops when the violation gap falls below tolerance.
     Returns the dual coefficients and intercept.
+
+    The loop begins at alpha = 0 unless start gives a feasible dual
+    solution to begin from (0 <= start <= C, start @ sign = 0), such as
+    the solution at a smaller C for the same kernel: the gradient is then
+    Q @ start - 1 and the working sets follow from start. Only the CV
+    search of _select passes a start; every fit that reaches a model
+    begins at zero.
     """
     n = len(sign)
-    alpha = [0.0] * n  # scalar work is on Python floats, the same IEEE arithmetic
-    grad = -np.ones(n)  # gradient of the dual objective wrt alpha
     Q = (sign[:, None] * sign[None, :]) * K
     K_diag = np.diag(K).tolist()
     s = sign.tolist()
@@ -335,7 +364,14 @@ def _smo(K, sign, C):
         low = ((sign < 0) & (a < bound)) | ((sign > 0) & (a > 1e-12))
         return up, low
 
-    up, low = working_sets(np.zeros(n))
+    if start is None:
+        alpha = [0.0] * n  # scalar work is on Python floats, the same IEEE arithmetic
+        grad = -np.ones(n)  # gradient of the dual objective wrt alpha
+        up, low = working_sets(np.zeros(n))
+    else:
+        alpha = start.tolist()
+        grad = Q @ start - 1.0
+        up, low = working_sets(start)
     for _ in range(SMO_MAX_STEPS):
         yg = neg_sign * grad
         i = int(np.where(up, yg, -np.inf).argmax())
@@ -389,18 +425,23 @@ def _smo(K, sign, C):
     return alpha, b
 
 
-def _fit_rbf_core(X, y, C, gamma):
+def _fit_rbf_core(X, y, C, gamma, start=None):
+    """The RBF decision parameters, then the full dual solution.
+
+    The dual solution is what a warm start at a larger C on the same data
+    and gamma begins from; start is passed on to _smo.
+    """
     mean, scale = _standardization(X)
     Z = (X - mean) / scale
     sign = np.where(y > 0.5, 1.0, -1.0)
     K = _rbf_kernel(Z, Z, gamma)
-    alpha, b = _smo(K, sign, C)
+    alpha, b = _smo(K, sign, C, start)
     keep = alpha > 1e-12
-    return mean, scale, Z[keep], (alpha * sign)[keep], b, gamma
+    return mean, scale, Z[keep], (alpha * sign)[keep], b, gamma, alpha
 
 
 def _rbf_decisions(params, X):
-    mean, scale, support, coef, b, gamma = params
+    mean, scale, support, coef, b, gamma = params[:6]  # a core fit's tuple ends in alpha
     return _rbf_kernel((X - mean) / scale, support, gamma) @ coef + b
 
 
@@ -427,6 +468,9 @@ class _Kind:
     candidates: tuple[tuple, ...]  # hyperparameter tuples in tie-break order
     decisions: Callable
     platt: bool
+    # The core fit takes a starting dual solution last and returns its
+    # dual solution last; _select then chains its fits along C.
+    warm: bool = False
 
 
 _LINEAR_FIELDS = ("feature_mean", "feature_scale", "beta0", "weights")
@@ -440,7 +484,7 @@ _KINDS = {
     "linear-svm": _Kind(_LINEAR_FIELDS, ("C",), tuple(product(_ASCENDING)),
                         _linear_decisions, platt=True),
     "rbf-svm": _Kind(_RBF_FIELDS, ("C", "gamma"), tuple(product(_ASCENDING, sorted(GAMMA_GRID))),
-                     _rbf_decisions, platt=True),
+                     _rbf_decisions, platt=True, warm=True),
 }
 
 
@@ -456,10 +500,9 @@ def _fit(kind, examples, cv_folds, fit_core, hyper, feature_names) -> PairwiseMo
         raise ValueError(f"need at least 2 examples per class, "
                          f"got {n_pos} positive / {len(y) - n_pos} negative")
     if None in hyper:
-        folds = _stratified_folds(y, cv_folds)
-        hyper, fold_fits = _select(X, y, folds, spec.candidates, fit_core, spec.decisions)
+        hyper, fold_fits = _select(X, y, _splits(y, cv_folds), spec, fit_core)
     elif spec.platt:
-        fold_fits = _fold_fits(X, y, _stratified_folds(y, cv_folds), fit_core, hyper)
+        fold_fits = _fold_fits(X, y, _splits(y, cv_folds), fit_core, hyper)
     params = fit_core(X, y, *hyper)
     platt = None
     if spec.platt:

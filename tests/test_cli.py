@@ -210,6 +210,24 @@ class TestMetricsCommand:
         b = json.loads(out_tokens.read_text(encoding="utf-8"))
         assert {n: a[n] for n in METRIC_NAMES} == {n: b[n] for n in METRIC_NAMES}
 
+    @pytest.mark.parametrize("corpus_format, text, doc_id", [
+        ("plaintext-lines", "a\nabc\n", "2"),
+        ("jsonl", '{"id": "x1", "text": "a"}\n{"id": "x2", "text": "abc"}\n', "x2"),
+    ])
+    def test_corpus_failure_names_the_document(
+            self, tmp_path, capsys, corpus_format, text, doc_id):
+        vocab, merges = tmp_path / "v.json", tmp_path / "m.txt"
+        vocab.write_text('{"a": 0}', encoding="utf-8")
+        merges.write_text("", encoding="utf-8")
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(text, encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert cli("metrics", "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+                   "--format", corpus_format, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tokscope: error: {corpus} document {doc_id}: symbol 'b' ")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["metrics", "export-curve"])
 @pytest.mark.parametrize(

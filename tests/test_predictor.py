@@ -535,6 +535,53 @@ class TestRbfSvm:
         assert b == ref_b
         assert caught == ref_caught
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        points=st.integers(4, 40).flatmap(
+            lambda n: hnp.arrays(
+                np.float64, (n, 2), elements=st.floats(-2.0, 2.0, width=16)
+            )
+        ),
+        labels=st.lists(st.booleans(), min_size=40, max_size=40),
+        gamma=st.sampled_from(GAMMA_GRID),
+        step=st.integers(0, len(REGULARIZATION_GRID) - 2),
+    )
+    def test_warm_start_reaches_the_qp_optimum(self, points, labels, gamma, step):
+        # The cold solution at C1 starts SMO at the next grid value C2, as
+        # the CV search does. Both solutions must be feasible and reach the
+        # dual optimum that SLSQP finds, polished by a second, tighter run
+        # from its own point; on random draws the two objectives agree to
+        # about 3e-10 relative, so 1e-8 relative is the stated tolerance.
+        n = len(points)
+        sign = np.where(labels[:n], 1.0, -1.0)
+        sign[:2] = (1.0, -1.0)
+        K = _rbf_kernel(points, points, gamma)
+        Q = (sign[:, None] * sign[None, :]) * K
+        C1, C2 = sorted(REGULARIZATION_GRID)[step:step + 2]
+        (cold, _), _ = _with_warnings(_smo, K, sign, C1)
+        (warm, _), _ = _with_warnings(_smo, K, sign, C2, cold)
+
+        def dual(a):
+            return 0.5 * a @ Q @ a - a.sum()
+
+        for alpha, C in ((cold, C1), (warm, C2)):
+            # An update alpha[i] + delta_i may round past the box by an ulp of C.
+            assert alpha.min() >= -1e-12 * C and alpha.max() <= C * (1.0 + 1e-12)
+            assert abs(alpha @ sign) <= 1e-12 * C
+            problem = dict(
+                jac=lambda a: Q @ a - 1.0, bounds=[(0.0, C)] * n, method="SLSQP",
+                constraints=[{"type": "eq", "fun": lambda a: a @ sign,
+                              "jac": lambda a: sign}],
+            )
+            reference = optimize.minimize(
+                dual, np.zeros(n), options={"ftol": 1e-12, "maxiter": 1000}, **problem
+            ).x
+            reference = optimize.minimize(
+                dual, reference, options={"ftol": 1e-15, "maxiter": 1000}, **problem
+            ).x
+            optimum = dual(reference)
+            assert abs(dual(alpha) - optimum) <= 1e-8 * max(1.0, abs(optimum))
+
     def test_requires_four_examples(self):
         with pytest.raises(ValueError, match="at least 4"):
             fit_rbf_svm_platt(self.XOR[:3], C=1.0, gamma=1.0)
@@ -585,7 +632,8 @@ class TestFoldReuse:
     def test_rbf_svm_fits_each_fold_once(self, synth_dataset, monkeypatch):
         calls = self.count_fits(monkeypatch, "_fit_rbf_core")
         model = fit_rbf_svm_platt(synth_dataset, cv_folds=5, feature_names=METRIC_NAMES)
-        assert len(calls) == 5 * len(REGULARIZATION_GRID) * len(GAMMA_GRID) + 1
+        # The winner, C = 0.1, was warm-started, so its 5 folds are refit cold.
+        assert len(calls) == 5 * len(REGULARIZATION_GRID) * len(GAMMA_GRID) + 5 + 1
         calls.clear()
         explicit = fit_rbf_svm_platt(
             synth_dataset, cv_folds=5, C=model.hyperparameters["C"],
@@ -595,6 +643,39 @@ class TestFoldReuse:
         assert explicit.platt == model.platt
         assert explicit.beta0 == model.beta0
         np.testing.assert_array_equal(explicit.dual_coefficients, model.dual_coefficients)
+
+
+class TestWarmStartedSelection:
+    """Warm starts only score CV candidates; the model is the cold selection's."""
+
+    @pytest.mark.parametrize("cv_folds", (2, 5))
+    def test_matches_cold_selection(self, synth_dataset, monkeypatch, cv_folds):
+        trains = [
+            [e for e in synth_dataset if held not in (e.tok_i, e.tok_j)]
+            for held in SYNTH_TOKENIZERS
+        ]
+        core = predictor._fit_rbf_core
+        starts = []
+
+        def recording(X, y, C, gamma, start=None):
+            starts.append(start is not None)
+            return core(X, y, C, gamma, start)
+
+        def fit_all(fit_core):
+            monkeypatch.setattr(predictor, "_fit_rbf_core", fit_core)
+            return [
+                fit_rbf_svm_platt(train, cv_folds=cv_folds, feature_names=METRIC_NAMES)
+                for train in trains
+            ]
+
+        warm = fit_all(recording)
+        assert any(starts)
+        cold = fit_all(lambda X, y, C, gamma, start=None: core(X, y, C, gamma))
+        for w, c in zip(warm, cold):
+            assert w.hyperparameters == c.hyperparameters
+            np.testing.assert_array_equal(w.dual_coefficients, c.dual_coefficients)
+            assert w.beta0 == c.beta0
+            assert w.platt == c.platt
 
 
 class TestFitPlatt:

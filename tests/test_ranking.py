@@ -8,10 +8,13 @@ strengths must recover those strengths up to normalization.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize, special
 
 from tokscope import (
     BTRatings,
@@ -22,6 +25,7 @@ from tokscope import (
     load_bundled_fixture,
     ranking_from_ratings,
 )
+from tokscope.ranking import PROB_FLOOR
 
 
 def bt_matrix(strengths: np.ndarray) -> np.ndarray:
@@ -115,6 +119,74 @@ class TestFitBradleyTerry:
         ratings = fit_bradley_terry(bt_matrix(strengths))
         fitted = np.array([ratings.values[str(i)] for i in range(len(raw))])
         np.testing.assert_allclose(fitted, strengths, atol=1e-6)
+
+    # MM stops short of the optimum on nearly separable tables: here it
+    # spends all MAX_SWEEPS sweeps and ends 2.3 away in log-strength.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="MM does not converge within MAX_SWEEPS")
+    @settings(deadline=None, max_examples=50)
+    @given(
+        n=st.integers(2, 10),
+        upper=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.sampled_from((0.0, 1.0, 1e-7, 1.0 - 1e-7)),  # clamped
+            ),
+            min_size=45,
+            max_size=45,
+        ),
+    )
+    @example(n=3, upper=[0.0] * 45)
+    def test_matches_direct_likelihood_maximization(self, n, upper):
+        # MM stops on a relative strength change of CONVERGENCE_TOL, where
+        # the log-likelihood moves by about 1e-10. Random tables on which
+        # MM converges leave the log-strengths within 1e-8 of the optimum;
+        # the stated tolerance is 1e-5.
+        probs = np.full((n, n), 0.5)
+        rows, cols = np.triu_indices(n, k=1)
+        probs[rows, cols] = upper[: len(rows)]
+        probs[cols, rows] = 1.0 - probs[rows, cols]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # clamped entries
+            ratings = fit_bradley_terry(probs)
+        fitted = np.log([ratings.values[str(i)] for i in range(n)])
+
+        wins = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+        np.fill_diagonal(wins, 0.0)
+
+        def full(rest):
+            # Log-strengths with the first pinned at zero, which removes
+            # the likelihood's one flat direction.
+            return np.concatenate([[0.0], rest])
+
+        def negative_log_likelihood(rest):
+            theta = full(rest)
+            diff = theta[:, None] - theta[None, :]
+            return float(np.sum(wins * np.logaddexp(0.0, -diff)))
+
+        def gradient(rest):
+            theta = full(rest)
+            loss = wins * special.expit(-(theta[:, None] - theta[None, :]))
+            return (loss.T.sum(axis=1) - loss.sum(axis=1))[1:]
+
+        def hessian(rest):
+            theta = full(rest)
+            p = special.expit(theta[:, None] - theta[None, :])
+            coupling = (wins + wins.T) * p * (1.0 - p)
+            np.fill_diagonal(coupling, 0.0)
+            return (np.diag(coupling.sum(axis=1)) - coupling)[1:, 1:]
+
+        result = optimize.minimize(
+            negative_log_likelihood, np.zeros(n - 1), jac=gradient, hess=hessian,
+            method="trust-exact", options={"gtol": 1e-12},
+        )
+        reference = result.x
+        for _ in range(3):  # Newton steps polish a rounding-limited stop
+            reference = reference - np.linalg.solve(hessian(reference), gradient(reference))
+        reference = full(reference)
+        np.testing.assert_allclose(
+            fitted - fitted.mean(), reference - reference.mean(), rtol=0.0, atol=1e-5
+        )
 
 
 class TestRankingFromRatings:
