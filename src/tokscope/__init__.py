@@ -23,8 +23,8 @@ _PUBLIC = {
         "load_token_stream", "save_downstream_fixture", "save_token_stream",
     ),
     "bpe": (
-        "BpeTokenizer", "byte_to_unicode", "decode", "encode", "encode_line",
-        "load_bpe", "pretokenize",
+        "BpeTokenizer", "UnknownSymbolError", "byte_to_unicode", "count_encoded",
+        "decode", "encode", "encode_lines", "load_bpe", "pretokenize",
     ),
     "zipf_metrics": (
         "DEFAULT_TRUNCATION_BOUND", "LOG_BASE", "METRIC_NAMES", "SIMPSON_GRID",

@@ -3,15 +3,20 @@
 Works with the common two-file format: a JSON vocabulary mapping token
 string to id, and a merges text file with one "left right" pair per
 line in priority order (earlier lines merge first), optionally preceded
-by a "#" header line. Loading turns the merges into a table over ids,
-(left id, right id) -> (rank, merged id), and rejects a merge whose
-parts or result are not in the vocabulary.
+by a "#" header line. Loading rejects a merge whose parts or result are
+not in the vocabulary, and turns the merges into sorted arrays over
+dense vocabulary indices (see `BpeTokenizer`).
 
-Text is pre-tokenized with a regex, and each piece starts as the ids of
-the one-byte tokens of its UTF-8 bytes, whose strings are printable
-unicode stand-ins for the bytes. Merges are applied by repeatedly
-picking the adjacent pair with the lowest merge rank and fusing every
-occurrence of it left to right. Decoding inverts the byte mapping, so
+Text is pre-tokenized with a regex, and each piece starts as the
+indices of the one-byte tokens of its UTF-8 bytes, whose strings are
+printable unicode stand-ins for the bytes. Merges are applied by
+repeatedly picking the adjacent pair with the lowest merge rank and
+fusing every occurrence of it left to right. A piece always merges to
+the same ids, so a call merges each distinct piece once, and merges a
+batch's new pieces together in one numpy pass: each round fuses the
+best pair of every piece at once and ranks again only the pairs next to
+a merge, until no piece has a ranked pair. Memos of merged pieces live
+as long as one call. Decoding inverts the byte mapping, so
 decode(encode(text)) == text for any vocabulary whose merges were built
 over the same byte alphabet.
 """
@@ -19,8 +24,12 @@ over the same byte alphabet.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import regex
@@ -35,20 +44,42 @@ _PRETOKENIZER = regex.compile(
     r"""'s|'t|'re|'ve|'m|'ll|'d| ?\p{L}+| ?\p{N}+| ?[^\s\p{L}\p{N}]+|\s+(?!\S)|\s+"""
 )
 
+# Texts are pre-tokenized and their new pieces merged in batches of at
+# least this many characters (the last batch may hold fewer).
+BATCH_CHARS = 1 << 16
 
-@dataclass(frozen=True)
+_NO_RANK = np.iinfo(np.int64).max
+
+
+@dataclass(frozen=True, eq=False)
 class BpeTokenizer:
-    """A vocabulary and its merge table over ids, plus memos of merged pieces.
+    """A vocabulary and its merge table, as read-only values; no memo of
+    merged pieces outlives a call.
 
-    `_cache` holds each piece's ids for `encode`; `_lines` holds the same
-    ids as space-separated decimal text for `encode_line`.
+    Dense index j stands for the j-th smallest vocabulary id, `ids[j]`.
+    The merge of (left, right) has the key left * (len(ids) + 1) + right,
+    which fits in int64 whatever the ids are; no key holds the index
+    len(ids), which the merge puts after each piece. `pair_keys` holds the
+    keys in ascending order and `pair_ranks` the rank of each, its line
+    order in the merges file; `rank_merged` holds the merged index of each
+    rank.
     """
 
-    id_to_token: dict[int, str]
-    byte_ids: tuple[int | None, ...]  # the id of each byte's one-byte token, or None
-    merges: dict[tuple[int, int], tuple[int, int]]  # (left, right) -> (rank, merged)
-    _cache: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False)
-    _lines: dict[str, str] = field(default_factory=dict, repr=False)
+    id_to_token: Mapping[int, str]
+    ids: np.ndarray  # the vocabulary id of each index, ascending
+    id_text: tuple[str, ...]  # the decimal text of each index's id
+    byte_index: np.ndarray  # the index of each byte's one-byte token, or -1
+    pair_keys: np.ndarray
+    pair_ranks: np.ndarray
+    rank_merged: np.ndarray
+
+
+class UnknownSymbolError(ValueError):
+    """A text holds a byte whose one-byte token is not in the vocabulary."""
+
+    def __init__(self, message: str, text_index: int):
+        super().__init__(message)
+        self.text_index = text_index  # the text's position among those encoded
 
 
 def byte_to_unicode() -> dict[int, str]:
@@ -81,6 +112,12 @@ def pretokenize(text: str) -> list[str]:
     return _PRETOKENIZER.findall(text)
 
 
+def _read_only(values, dtype=np.int64) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def load_bpe(vocab_path, merges_path) -> BpeTokenizer:
     vocab_path, merges_path = Path(vocab_path), Path(merges_path)
     try:
@@ -102,9 +139,10 @@ def load_bpe(vocab_path, merges_path) -> BpeTokenizer:
                 f"{id_to_token[token_id]!r} and {token!r}"
             )
         id_to_token[token_id] = token
-    token_to_id = {token: token_id for token_id, token in id_to_token.items()}
+    ids = sorted(id_to_token)
+    index_of = {id_to_token[token_id]: j for j, token_id in enumerate(ids)}
 
-    merges: dict[tuple[int, int], tuple[int, int]] = {}
+    merges: dict[tuple[int, int], int] = {}  # (left, right) -> merged, in rank order
     lines = read_text(merges_path).splitlines()
     start = 1 if lines and lines[0].startswith("#") else 0
     for lineno, line in enumerate(lines[start:], start=start + 1):
@@ -116,85 +154,171 @@ def load_bpe(vocab_path, merges_path) -> BpeTokenizer:
                 f"{merges_path} line {lineno}: expected two fields, got {len(parts)}"
             )
         for part in parts:
-            if part not in token_to_id:
+            if part not in index_of:
                 raise ValueError(
                     f"{merges_path} line {lineno}: {part!r} is not in the vocabulary"
                 )
-        pair = (token_to_id[parts[0]], token_to_id[parts[1]])
+        pair = (index_of[parts[0]], index_of[parts[1]])
         if pair in merges:
             raise ValueError(
                 f"{merges_path} line {lineno}: duplicate merge {tuple(parts)}"
             )
         merged = parts[0] + parts[1]
-        if merged not in token_to_id:
+        if merged not in index_of:
             raise ValueError(
                 f"{merges_path} line {lineno}: merge result {merged!r} "
                 "is not in the vocabulary"
             )
-        merges[pair] = (len(merges), token_to_id[merged])
-    byte_ids = tuple(token_to_id.get(_BYTE_ENCODER[b]) for b in range(256))
-    return BpeTokenizer(id_to_token=id_to_token, byte_ids=byte_ids, merges=merges)
+        merges[pair] = index_of[merged]
+    keys = np.array([left * (len(ids) + 1) + right for left, right in merges], dtype=np.int64)
+    order = np.argsort(keys)
+    return BpeTokenizer(
+        id_to_token=MappingProxyType(id_to_token),
+        ids=_read_only(ids),
+        id_text=tuple(map(str, ids)),
+        byte_index=_read_only([index_of.get(_BYTE_ENCODER[b], -1) for b in range(256)]),
+        pair_keys=_read_only(keys[order]),
+        pair_ranks=_read_only(order),
+        rank_merged=_read_only(list(merges.values())),
+    )
 
 
-def _merge_piece(tokenizer: BpeTokenizer, piece: str) -> tuple[int, ...]:
-    data = piece.encode("utf-8")
-    ids = [tokenizer.byte_ids[b] for b in data]
-    if None in ids:
-        symbol = _BYTE_ENCODER[data[ids.index(None)]]
-        raise ValueError(
-            f"symbol {symbol!r} is not in the vocabulary; "
-            "vocab and merges files are inconsistent"
-        )
-    merges = tokenizer.merges
-    while len(ids) > 1:
-        best = None
-        for pair in zip(ids, ids[1:]):
-            found = merges.get(pair)
-            # Ranks are distinct, so the (rank, merged) tuples order by rank.
-            if found is not None and (best is None or found < best):
-                best, (left, right) = found, pair
-        if best is None:
+def _pair_ranks(tokenizer: BpeTokenizer, left, right) -> np.ndarray:
+    """The merge rank of each pair (left[i], right[i]) of indices, or _NO_RANK."""
+    keys = tokenizer.pair_keys
+    if not len(keys):
+        return np.full(len(left), _NO_RANK)
+    key = left * (len(tokenizer.ids) + 1) + right
+    found = np.minimum(keys.searchsorted(key), len(keys) - 1)
+    return np.where(keys[found] == key, tokenizer.pair_ranks[found], _NO_RANK)
+
+
+def _merge(tokenizer: BpeTokenizer, pieces: list[str]):
+    """The merged indices of the pieces end to end and each piece's end
+    offset in them, or None if a byte has no one-byte token.
+
+    Each round merges, in every piece, all occurrences of the piece's
+    pair of lowest rank, and re-ranks only the pairs next to a merge.
+    """
+    end = len(tokenizer.ids)  # the index that ends each piece; no merge has it
+    # UTF-8 never uses the byte 0xFF, so it can stand for the end.
+    lookup = np.append(tokenizer.byte_index[:0xFF], end)
+    sym = lookup[np.frombuffer(b"\xff".join([*map(str.encode, pieces), b""]), dtype=np.uint8)]
+    if (sym < 0).any():
+        return None
+    rank = np.concatenate([_pair_ranks(tokenizer, sym[:-1], sym[1:]), [_NO_RANK]])
+    while len(sym):
+        first = np.concatenate([[True], sym[:-1] == end])  # where each piece starts
+        best = np.minimum.reduceat(rank, first.nonzero()[0])[first.cumsum() - 1]
+        hit = ((rank == best) & (rank < _NO_RANK)).nonzero()[0]
+        if not len(hit):
             break
-        merged = best[1]
-        out = []
-        i, last = 0, len(ids) - 1
-        while i < last:
-            if ids[i] == left and ids[i + 1] == right:
-                out.append(merged)
-                i += 2
-            else:
-                out.append(ids[i])
-                i += 1
-        if i == last:
-            out.append(ids[last])
-        ids = out
-    return tuple(ids)
+        # Occurrences of one pair overlap only for a self-pair such as
+        # (a, a); a run of them merges at every other position from its left.
+        first = np.concatenate([[True], hit[1:] - hit[:-1] != 1])  # where each run of hits starts
+        if not first.all():
+            run_start = hit[np.maximum.accumulate(np.where(first, np.arange(len(hit)), 0))]
+            hit = hit[(hit - run_start) % 2 == 0]
+        sym[hit] = tokenizer.rank_merged[rank[hit]]
+        keep = np.ones(len(sym), dtype=bool)
+        keep[hit + 1] = False
+        sym, rank = sym[keep], rank[keep]
+        # Only the pairs that start at a merge or just before one change;
+        # each merge moved the ones after it left by one.
+        hit -= np.arange(len(hit))
+        stale = np.concatenate([hit, np.maximum(hit - 1, 0)])
+        rank[stale] = _pair_ranks(tokenizer, sym[stale], sym[stale + 1])
+    kept = sym != end
+    return sym[kept], np.cumsum(kept)[~kept]
+
+
+def _merge_batch(tokenizer: BpeTokenizer, pieces: list[list[str]], seen, first: int):
+    """Merge once each piece of a batch of texts that `seen` does not hold.
+
+    `pieces` holds the pieces of each text, and `first` is the position
+    of the batch's first text among all those encoded. Returns the new
+    pieces, their merged indices end to end and each one's end offset. A
+    byte that has no one-byte token raises UnknownSymbolError for the
+    first text that holds one.
+    """
+    new = list(set(chain.from_iterable(pieces)).difference(seen))
+    merged = _merge(tokenizer, new)
+    if merged is None:
+        text, byte = next((i, b) for i, text_pieces in enumerate(pieces)
+                          for b in "".join(text_pieces).encode("utf-8")
+                          if tokenizer.byte_index[b] < 0)
+        raise UnknownSymbolError(
+            f"symbol {_BYTE_ENCODER[byte]!r} is not in the vocabulary; "
+            "vocab and merges files are inconsistent",
+            first + text,
+        )
+    return (new, *merged)
+
+
+def _batches(texts: Iterable[str]) -> Iterator[tuple[int, list[list[str]]]]:
+    """The position of each batch's first text, and the pieces of each of its texts."""
+    batch, chars, first = [], 0, 0
+    for text in texts:
+        batch.append(pretokenize(text))
+        chars += len(text)
+        if chars >= BATCH_CHARS:
+            yield first, batch
+            first += len(batch)
+            batch, chars = [], 0
+    if batch:
+        yield first, batch
+
+
+def _parts(new: list[str], values: list, ends: np.ndarray) -> Iterator[tuple[str, list]]:
+    """Each new piece and its slice of `values`, which ends at its end offset."""
+    bounds = ends.tolist()
+    return zip(new, map(values.__getitem__, map(slice, [0, *bounds], bounds)))
 
 
 def encode(tokenizer: BpeTokenizer, text: str, name: str = "") -> TokenSequence:
-    ids: list[int] = []
-    cache = tokenizer._cache
-    for piece in pretokenize(text):
-        cached = cache.get(piece)
-        if cached is None:
-            cached = _merge_piece(tokenizer, piece)
-            cache[piece] = cached
-        ids.extend(cached)
-    return TokenSequence(tokens=np.asarray(ids, dtype=np.int64), source_tokenizer=name)
-
-
-def encode_line(tokenizer: BpeTokenizer, text: str) -> str:
-    """The ids of `encode(tokenizer, text)` as space-separated decimals.
-
-    Each distinct piece is merged and rendered once; a line joins the
-    rendered pieces, so no id passes through a list or an array.
-    """
-    memo = tokenizer._lines
+    """The ids of `text`; the call merges each of its distinct pieces once."""
     pieces = pretokenize(text)
-    for piece in pieces:
-        if piece not in memo:
-            memo[piece] = " ".join(map(str, _merge_piece(tokenizer, piece)))
-    return " ".join([memo[piece] for piece in pieces])
+    new, merged, ends = _merge_batch(tokenizer, [pieces], (), 0)
+    memo = dict(_parts(new, tokenizer.ids[merged].tolist(), ends))
+    ids = np.fromiter(chain.from_iterable(map(memo.__getitem__, pieces)), dtype=np.int64)
+    return TokenSequence(tokens=ids, source_tokenizer=name)
+
+
+def encode_lines(tokenizer: BpeTokenizer, texts: Iterable[str]) -> Iterator[str]:
+    """The ids of `encode(tokenizer, text)` of each text, as space-separated decimals.
+
+    Within the call each distinct piece is merged and rendered once, a
+    batch's new pieces together; a line joins the rendered pieces, so no
+    id passes through a list or an array. A failure raises
+    UnknownSymbolError, which gives the position of the failing text.
+    """
+    memo: dict[str, str] = {}
+    id_text = tokenizer.id_text
+    for first, batch in _batches(texts):
+        new, merged, ends = _merge_batch(tokenizer, batch, memo, first)
+        words = [id_text[j] for j in merged.tolist()]
+        memo.update((piece, " ".join(part)) for piece, part in _parts(new, words, ends))
+        for pieces in batch:
+            yield " ".join(map(memo.__getitem__, pieces))
+
+
+def count_encoded(tokenizer: BpeTokenizer, texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of each distinct piece of the texts' encoding, and for each
+    id the count of its piece, for `zipf_metrics.count_blocks`.
+
+    Memory grows with the distinct pieces, not with the texts. A failure
+    raises UnknownSymbolError, as in `encode_lines`.
+    """
+    counts: Counter[str] = Counter()
+    pieces, merged, sizes = [], [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for first, batch in _batches(texts):
+        new, batch_merged, ends = _merge_batch(tokenizer, batch, counts, first)
+        counts.update(chain.from_iterable(batch))
+        pieces += new
+        merged.append(batch_merged)
+        sizes.append(np.diff(ends, prepend=0))
+    weights = np.fromiter(map(counts.__getitem__, pieces), dtype=np.int64, count=len(pieces))
+    return tokenizer.ids[np.concatenate(merged)], np.repeat(weights, np.concatenate(sizes))
 
 
 def decode(tokenizer: BpeTokenizer, tokens) -> str:

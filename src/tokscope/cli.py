@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -140,7 +141,8 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
     """The count table of a token stream and the tokenizer's name.
 
     The stream is either a token file, counted block by block, or a
-    corpus encoded here and counted once as a whole.
+    corpus whose distinct pieces are encoded once each and counted as
+    often as they occur.
     """
     if config.tokens is not None:
         if config.vocab is not None or config.corpus is not None:
@@ -154,21 +156,21 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
 
     name = config.tokenizer_name or Path(config.vocab).stem
     tokenizer = bpe.load_bpe(config.vocab, config.merges)
-    # The spent generator lets go of the documents, and the per-document
-    # ids go once concatenated, so neither is held during the count.
-    encoded = _encode_documents(config, load_corpus(config.corpus, config.corpus_format),
-                                tokenizer, bpe.encode)
-    ids = np.concatenate([np.zeros(0, dtype=np.int64), *(e.tokens for e in encoded)])
-    return count_blocks([ids], str(config.corpus)), name
+    docs = load_corpus(config.corpus, config.corpus_format)
+    with _naming_the_document(config, docs):
+        ids, weights = bpe.count_encoded(tokenizer, (doc.text for doc in docs))
+    return count_blocks([ids], str(config.corpus), weights=[weights]), name
 
 
-def _encode_documents(config: RunConfig, docs, tokenizer, encode):
-    """encode(tokenizer, text) for each document; a failure names the corpus and document."""
-    for doc in docs:
-        try:
-            yield encode(tokenizer, doc.text)
-        except ValueError as e:
-            raise ValueError(f"{config.corpus} document {doc.id}: {e}") from None
+@contextmanager
+def _naming_the_document(config: RunConfig, docs):
+    """A failure to encode one of `docs` names the corpus and the document."""
+    from .bpe import UnknownSymbolError
+
+    try:
+        yield
+    except UnknownSymbolError as e:
+        raise ValueError(f"{config.corpus} document {docs[e.text_index].id}: {e}") from None
 
 
 def _cmd_encode(config: RunConfig) -> int:
@@ -181,8 +183,9 @@ def _cmd_encode(config: RunConfig) -> int:
     with out.open("w", encoding="utf-8") as fh:
         try:
             fh.write(_comment_line(config) + "\n")
-            for line in _encode_documents(config, docs, tokenizer, bpe.encode_line):
-                fh.write(line + "\n")
+            with _naming_the_document(config, docs):
+                for line in bpe.encode_lines(tokenizer, (doc.text for doc in docs)):
+                    fh.write(line + "\n")
         except BaseException:
             # A failed run leaves no token file, not a partial one. Only a
             # regular file is removed: --out may name a device or a link.

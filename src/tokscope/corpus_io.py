@@ -136,18 +136,22 @@ def read_text(path) -> str:
 def load_corpus(path, format: str = "plaintext-lines") -> list[Document]:
     """Load documents from a plaintext-lines or jsonl file.
 
-    Empty lines (and jsonl records with empty text) are skipped: they
-    contribute no tokens and would distort per-document statistics.
+    Lines end at LF, and one CR before it is dropped; other line
+    separators (VT, FF, U+0085, U+2028, ...) are text, so line numbers are
+    those of `wc -l`. Empty lines (and jsonl records with empty text) are
+    skipped: they contribute no tokens and would distort per-document
+    statistics.
     """
-    raw = read_text(path)
+    lines = [line[:-1] if line.endswith("\r") else line
+             for line in read_text(path).split("\n")]
     docs: list[Document] = []
     seen_ids: set[str] = set()
     if format == "plaintext-lines":
-        for lineno, line in enumerate(raw.splitlines(), start=1):
+        for lineno, line in enumerate(lines, start=1):
             if line:
                 docs.append(Document(id=str(lineno), text=line))
     elif format == "jsonl":
-        for lineno, line in enumerate(raw.splitlines(), start=1):
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:

@@ -18,8 +18,9 @@ invariant to how the original ranks happen to be spaced.
 
 All five depend on a stream only through its count table, two int64
 arrays of sorted distinct ids and their counts. `count_blocks` is the one
-counting path: `count_token_file` feeds it a file block by block, and
-`count_frequencies` an in-memory stream as one block.
+counting path: `count_token_file` feeds it a file block by block,
+`count_frequencies` an in-memory stream as one block, and `metrics
+--corpus` each distinct BPE piece's ids, weighted by the piece's count.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -123,7 +125,8 @@ def count_frequencies(seq: TokenSequence) -> TokenFrequencyTable:
     return count_blocks([seq.tokens], "token stream")
 
 
-def count_blocks(blocks: Iterable[np.ndarray], source: str) -> TokenFrequencyTable:
+def count_blocks(blocks: Iterable[np.ndarray], source: str,
+                 weights: Iterable[np.ndarray] | None = None) -> TokenFrequencyTable:
     """Count a stream given as consecutive blocks of ids.
 
     Each block's counts are added in int64 to a running sorted (ids,
@@ -133,11 +136,18 @@ def count_blocks(blocks: Iterable[np.ndarray], source: str) -> TokenFrequencyTab
     vocabulary that keeps growing does not cost a copy per block. Memory
     is O(largest block + vocabulary) however long the stream is.
     `source` names the stream in the error raised when it holds no token.
+    `weights`, when given, holds an int64 array for each block: how many
+    times each of its ids counts.
     """
     ids, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     waiting, n_waiting = [], 0
-    for block in blocks:
-        new_ids, new_counts = np.unique(block, return_counts=True)
+    for block, weight in zip(blocks, repeat(None) if weights is None else weights):
+        if weight is None:
+            new_ids, new_counts = np.unique(block, return_counts=True)
+        else:
+            new_ids, inverse = np.unique(block, return_inverse=True)
+            new_counts = np.zeros(len(new_ids), dtype=np.int64)
+            np.add.at(new_counts, inverse, weight)
         at = np.searchsorted(ids, new_ids)
         seen = at < len(ids)
         seen[seen] = ids[at[seen]] == new_ids[seen]

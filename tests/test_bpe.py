@@ -8,13 +8,17 @@ full load / encode / decode path on arbitrary unicode.
 from __future__ import annotations
 
 import json
+import random
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TRAINING_TEXT, apply_merge
-from tokscope import byte_to_unicode, decode, encode, encode_line, load_bpe, pretokenize
+from tokscope import bpe, byte_to_unicode, decode, encode, encode_lines, load_bpe, pretokenize
 
 
 def write_pair(tmp_path, vocab: dict[str, int], merges: list[str], header=True):
@@ -132,7 +136,11 @@ class TestLoadErrors:
             (tmp_path / sub).mkdir()
         tok_h = load_bpe(*write_pair(tmp_path / "h", vocab, ["a b"], header=True))
         tok_n = load_bpe(*write_pair(tmp_path / "n", vocab, ["a b"], header=False))
-        assert tok_h.merges == tok_n.merges == {(0, 1): (0, 2)}
+        for tok in (tok_h, tok_n):
+            # The key of (a, b) over three dense indices is 0 * (3 + 1) + 1.
+            assert tok.pair_keys.tolist() == [1]
+            assert tok.pair_ranks.tolist() == [0]
+            assert tok.rank_merged.tolist() == [2]
 
 
 class TestEncode:
@@ -209,8 +217,16 @@ class TestTrainedRoundTrip:
         a = load_bpe(vocab_path, merges_path)
         b = load_bpe(vocab_path, merges_path)
         assert a.id_to_token == b.id_to_token
-        assert a.byte_ids == b.byte_ids
-        assert a.merges == b.merges
+        assert a.id_text == b.id_text
+        for field in ("ids", "byte_index", "pair_keys", "pair_ranks", "rank_merged"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_tokenizer_is_read_only(self, trained_bpe):
+        tok, _, _ = trained_bpe
+        with pytest.raises(ValueError, match="read-only"):
+            tok.pair_keys[0] = 0
+        with pytest.raises(TypeError):
+            tok.id_to_token[0] = "x"
 
 
 def reference_encode(text, vocab_path, merges_path) -> list[int]:
@@ -252,17 +268,138 @@ MIXED_PIECES = [
 
 class TestEncodeLine:
     @settings(deadline=None)
-    @given(
+    @given(st.lists(
         st.text(max_size=120)
-        | st.lists(st.sampled_from(MIXED_PIECES), max_size=30).map("".join)
-    )
-    def test_matches_encode(self, trained_bpe, text):
+        | st.lists(st.sampled_from(MIXED_PIECES), max_size=30).map("".join),
+        max_size=5,
+    ))
+    def test_matches_encode(self, trained_bpe, texts):
         tok, _, _ = trained_bpe
-        expected = " ".join(map(str, encode(tok, text).tokens.tolist()))
-        # The second call reads every piece from the memo.
-        assert encode_line(tok, text) == expected
-        assert encode_line(tok, text) == expected
+        expected = [" ".join(map(str, encode(tok, t).tokens.tolist())) for t in texts]
+        # Texts repeat, so later ones read pieces from the call's memo.
+        assert list(encode_lines(tok, texts + texts)) == expected + expected
 
     def test_empty_text_is_an_empty_line(self, trained_bpe):
         tok, _, _ = trained_bpe
-        assert encode_line(tok, "") == ""
+        assert list(encode_lines(tok, ["", "the", ""]))[::2] == ["", ""]
+        assert list(encode_lines(tok, [])) == []
+
+    def test_lines_across_batches_match_encode(self, trained_bpe):
+        tok, _, _ = trained_bpe
+        words = TRAINING_TEXT.split()
+        rng = random.Random(7)
+
+        def text(chars):
+            # Numbers make pieces that no earlier batch has merged.
+            out = []
+            while sum(map(len, out)) < chars:
+                out.append(rng.choice(words) if rng.random() < 0.8 else str(rng.randrange(10**6)))
+            return " ".join(out)
+
+        half = bpe.BATCH_CHARS // 2
+        texts = [text(40), text(half), text(half), text(40), text(half), "", text(3 * half)]
+        expected = [" ".join(map(str, encode(tok, t).tokens.tolist())) for t in texts]
+        assert list(encode_lines(tok, texts)) == expected
+
+
+def greedy_merge(byte_ids, merges, piece):
+    """The ids of one piece: fuse every occurrence of the adjacent pair of
+    lowest rank, left to right, until no adjacent pair has a rank.
+
+    `merges` maps (left id, right id) to (rank, merged id).
+    """
+    ids = [byte_ids[b] for b in piece.encode("utf-8")]
+    while len(ids) > 1:
+        best = None
+        for pair in zip(ids, ids[1:]):
+            found = merges.get(pair)
+            if found is not None and (best is None or found < best):
+                best, (left, right) = found, pair
+        if best is None:
+            break
+        out, i = [], 0
+        while i < len(ids):
+            if i + 1 < len(ids) and ids[i] == left and ids[i + 1] == right:
+                out.append(best[1])
+                i += 2
+            else:
+                out.append(ids[i])
+                i += 1
+        ids = out
+    return ids
+
+
+BYTE = byte_to_unicode()
+# One-, two- and three-byte UTF-8 characters; the space's byte is displaced.
+ALPHABET = "ab é猫"
+SYMBOLS = list(dict.fromkeys(BYTE[b] for b in ALPHABET.encode("utf-8")))
+E1, E2 = (BYTE[b] for b in "é".encode("utf-8"))
+C1, C2, C3 = (BYTE[b] for b in "猫".encode("utf-8"))
+
+
+@st.composite
+def merge_lists(draw):
+    """Merges over the alphabet's byte symbols, in any order, so a merge may
+    come before the merge that makes one of its parts."""
+    tokens, merges = list(SYMBOLS), []
+    for _ in range(draw(st.integers(0, 16))):
+        pair = (draw(st.sampled_from(tokens)), draw(st.sampled_from(tokens)))
+        if pair not in merges:
+            merges.append(pair)
+            tokens.append(pair[0] + pair[1])
+    return draw(st.permutations(merges))
+
+
+PIECE_LISTS = st.lists(
+    st.text(ALPHABET, min_size=1, max_size=10)
+    | st.tuples(st.sampled_from(ALPHABET), st.integers(2, 7)).map(lambda cn: cn[0] * cn[1]),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestBatchMerge:
+    """The merge of many pieces at once against the per-piece greedy loop."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(merges=merge_lists(), pieces=PIECE_LISTS, id_seed=st.integers(0, 2**32 - 1))
+    @example(  # merges listed before the merge that makes their part
+        merges=[("ab", "a"), ("ba", "b"), ("a", "b"), ("b", "a")],
+        pieces=["aba", "ab", "bab", "abab", "ba"], id_seed=0,
+    )
+    @example(  # self-pairs on runs of 2-7 equal bytes
+        merges=[("a", "a"), ("aa", "aa"), ("aa", "a"), ("b", "b"), ("bb", "b")],
+        pieces=["a" * n for n in range(2, 8)] + ["b" * n for n in range(2, 8)] + ["baaab"],
+        id_seed=1,
+    )
+    @example(  # one-byte and multi-byte UTF-8 pieces
+        merges=[(E1, E2), (C1, C2), (C1 + C2, C3), ("Ġ", E1 + E2), ("a", E1 + E2)],
+        pieces=["a", "b", " ", "é", " é", "aé", "猫", "猫猫", "é猫"], id_seed=2,
+    )
+    @example(  # many pieces per call
+        merges=[("a", "b"), ("ab", "a"), ("b", "b"), ("Ġ", "ab"), ("a", "a")],
+        pieces=[ALPHABET[i % 5] * (1 + i % 7) + ALPHABET[i * 3 % 5] + "ab" * (i % 4)
+                for i in range(400)],
+        id_seed=3,
+    )
+    def test_matches_greedy_oracle(self, merges, pieces, id_seed):
+        tokens = list(dict.fromkeys([*SYMBOLS, *(left + right for left, right in merges)]))
+        # Sparse, shuffled ids: the merge works on dense indices.
+        vocab = dict(zip(tokens, random.Random(id_seed).sample(range(2**40), len(tokens))))
+        with tempfile.TemporaryDirectory() as tmp:
+            tok = load_bpe(*write_pair(Path(tmp), vocab, [f"{l} {r}" for l, r in merges]))
+        byte_ids = {b: vocab[BYTE[b]] for b in ALPHABET.encode("utf-8")}
+        table = {(vocab[l], vocab[r]): (rank, vocab[l + r]) for rank, (l, r) in enumerate(merges)}
+
+        merged, ends = bpe._merge(tok, pieces)
+        got = [part.tolist() for part in np.split(tok.ids[merged], ends[:-1])]
+        assert got == [greedy_merge(byte_ids, table, piece) for piece in pieces]
+        text = "".join(pieces)
+        assert encode(tok, text).tokens.tolist() == [
+            i for piece in pretokenize(text) for i in greedy_merge(byte_ids, table, piece)]
+
+    def test_no_pieces_and_unknown_bytes(self, tmp_path):
+        tok = load_bpe(*write_pair(tmp_path, {"a": 5, "b": 9, "ab": 7}, ["a b"]))
+        merged, ends = bpe._merge(tok, [])
+        assert merged.tolist() == ends.tolist() == []
+        assert bpe._merge(tok, ["ab", "ba", "ac", "ab"]) is None

@@ -35,6 +35,7 @@ from tokscope import (
     save_downstream_fixture,
     spearman,
 )
+from tokscope.bpe import BATCH_CHARS
 from tokscope.cli import _build_parser, config_from_args, load_metric_dir
 
 from conftest import (
@@ -58,6 +59,19 @@ def cli_process(*args) -> subprocess.CompletedProcess:
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": package_root},
     )
+
+
+SYMBOL_B_MISSING = ("symbol 'b' is not in the vocabulary; "
+                    "vocab and merges files are inconsistent")
+# Corpora for the vocabulary {"a": 0}, which is missing 'b' and 'c'. In the
+# first, the first bad document lies in the second batch of texts; in the
+# second, one batch holds two bad documents.
+FAILURES_ACROSS_BATCHES = [
+    pytest.param("plaintext-lines", "a" * BATCH_CHARS + "\na\nabc\nc\n", "3",
+                 id="second-batch"),
+    pytest.param("jsonl", '{"id": "x1", "text": "a"}\n{"id": "x2", "text": "ab c"}\n'
+                 '{"id": "x3", "text": "c"}\n', "x2", id="two-in-one-batch"),
+]
 
 
 @pytest.mark.parametrize(
@@ -213,6 +227,7 @@ class TestMetricsCommand:
     @pytest.mark.parametrize("corpus_format, text, doc_id", [
         ("plaintext-lines", "a\nabc\n", "2"),
         ("jsonl", '{"id": "x1", "text": "a"}\n{"id": "x2", "text": "abc"}\n', "x2"),
+        *FAILURES_ACROSS_BATCHES,
     ])
     def test_corpus_failure_names_the_document(
             self, tmp_path, capsys, corpus_format, text, doc_id):
@@ -225,7 +240,7 @@ class TestMetricsCommand:
         assert cli("metrics", "--vocab", vocab, "--merges", merges, "--corpus", corpus,
                    "--format", corpus_format, "--out", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"tokscope: error: {corpus} document {doc_id}: symbol 'b' ")
+        assert err == f"tokscope: error: {corpus} document {doc_id}: {SYMBOL_B_MISSING}\n"
         assert not out.exists()
 
 
@@ -345,22 +360,25 @@ class TestEncode:
         corpus.write_text("\n".join(docs) + "\n", encoding="utf-8")
         from tokscope import bpe
         merged = Counter()
-        merge_piece = bpe._merge_piece
+        merge = bpe._merge
 
-        def counting(tokenizer, piece):
-            merged[piece] += 1
-            return merge_piece(tokenizer, piece)
+        def counting(tokenizer, pieces):
+            merged.update(pieces)
+            return merge(tokenizer, pieces)
 
-        monkeypatch.setattr(bpe, "_merge_piece", counting)
-        assert cli("encode", "--vocab", vocab_path, "--merges", merges_path,
-                   "--corpus", corpus, "--out", tmp_path / "enc.txt") == 0
+        monkeypatch.setattr(bpe, "_merge", counting)
         pieces = [p for d in docs for p in bpe.pretokenize(d)]
         assert len(pieces) > len(set(pieces))
-        assert merged == Counter(set(pieces))
+        for command in ("encode", "metrics"):
+            merged.clear()
+            assert cli(command, "--vocab", vocab_path, "--merges", merges_path,
+                       "--corpus", corpus, "--out", tmp_path / "out") == 0
+            assert merged == Counter(set(pieces))
 
     @pytest.mark.parametrize("corpus_format, text, doc_id", [
         ("plaintext-lines", "a\n\nabc\n", "3"),
         ("jsonl", '{"id": "x1", "text": "a"}\n{"id": "x2", "text": "abc"}\n', "x2"),
+        *FAILURES_ACROSS_BATCHES,
     ])
     def test_failure_names_the_document_and_leaves_no_output(
             self, tmp_path, capsys, corpus_format, text, doc_id):
@@ -373,7 +391,7 @@ class TestEncode:
         assert cli("encode", "--vocab", vocab, "--merges", merges, "--corpus", corpus,
                    "--format", corpus_format, "--out", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"tokscope: error: {corpus} document {doc_id}: symbol 'b' ")
+        assert err == f"tokscope: error: {corpus} document {doc_id}: {SYMBOL_B_MISSING}\n"
         assert not out.exists()
 
     def test_tokenizer_name_flag_is_gone(self, tmp_path, capsys):

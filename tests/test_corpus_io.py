@@ -49,6 +49,25 @@ class TestLoadCorpus:
         docs = load_corpus(path)
         assert [(d.id, d.text) for d in docs] == [("1", "alpha"), ("3", "gamma")]
 
+    def test_plaintext_splits_on_line_feeds_only(self, tmp_path):
+        # U+2028, U+0085, VT and FF are text; CR LF ends a line like LF,
+        # and only the one CR before the LF goes.
+        path = tmp_path / "c.txt"
+        path.write_text("one\u2028two\nthree\x85four\r\nfive\x0bsix\x0cseven\neight\r\r\n",
+                        encoding="utf-8", newline="")
+        assert path.read_bytes().count(b"\n") == 4
+        docs = load_corpus(path)
+        assert [(d.id, d.text) for d in docs] == [
+            ("1", "one\u2028two"), ("2", "three\x85four"),
+            ("3", "five\x0bsix\x0cseven"), ("4", "eight\r")]
+
+    def test_jsonl_text_may_hold_a_raw_line_separator(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"text": "one\u2028two\x85three"}\r\n{"text": "four"}\n',
+                        encoding="utf-8")
+        docs = load_corpus(path, format="jsonl")
+        assert [(d.id, d.text) for d in docs] == [("1", "one\u2028two\x85three"), ("2", "four")]
+
     def test_jsonl_with_and_without_ids(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(

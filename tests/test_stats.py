@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate as scipy_integrate
 from scipy import stats as scipy_stats
 
 from tokscope.stats import (
@@ -173,6 +174,20 @@ class TestSpearman:
         mine = spearman(x, y).coefficient
         assert math.isclose(mine, oracle_spearman_float(x, y), abs_tol=1e-12)
 
+    # Values from a small range, so most draws hold ties in both columns.
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=40))
+    @settings(deadline=None, max_examples=150)
+    @example([(0, 0), (1, 1), (1, 0), (2, 2)])
+    @example([(i % 3, i % 4) for i in range(20)])
+    def test_matches_scipy_spearmanr_with_ties(self, pairs):
+        x, y = (list(column) for column in zip(*pairs))
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        want = scipy_stats.spearmanr(x, y)
+        got = spearman(x, y)
+        assert math.isclose(got.coefficient, want.statistic, rel_tol=1e-12, abs_tol=1e-12)
+        if len(x) > 8:  # both use the t approximation there
+            assert math.isclose(got.p_value, want.pvalue, rel_tol=1e-9, abs_tol=1e-15)
+
     @given(st.permutations(list(range(1, 7))))
     def test_monotone_transform_invariance(self, y):
         x = [1, 2, 3, 4, 5, 6]
@@ -319,6 +334,19 @@ class TestSimpson:
         exact = a * 2.0 + b * 2.0**2 / 2 + c * 2.0**3 / 3 + d * 2.0**4 / 4
         h = 2.0 / (n_points - 1)
         assert abs(simpson_integrate(ys, h) - exact) <= 1e-12
+
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda panels: st.lists(st.floats(-1e3, 1e3), min_size=2 * panels + 1,
+                                    max_size=2 * panels + 1)),
+        st.floats(1e-3, 1e3),
+    )
+    @settings(deadline=None)
+    def test_matches_scipy_simpson_on_odd_grids(self, ys, h):
+        want = scipy_integrate.simpson(ys, dx=h)
+        scale = h * len(ys) * max(1.0, max(map(abs, ys)))
+        assert math.isclose(simpson_integrate(ys, h), want, rel_tol=1e-12, abs_tol=1e-13 * scale)
 
 
 class TestOlsFit:

@@ -18,8 +18,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from tokscope import corpus_io
 from tokscope.zipf_metrics import count_blocks
@@ -142,6 +143,23 @@ class TestCountTokenFile:
         np.testing.assert_array_equal(table.counts, counts)
         assert table.total == len(stream)
 
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 10**15)), max_size=30),
+                    max_size=6))
+    def test_weighted_blocks_add_each_weight(self, blocks):
+        expected = {}
+        for block in blocks:
+            for token, weight in block:
+                expected[token] = expected.get(token, 0) + weight
+        arrays = [np.array([t for t, _ in b], dtype=np.int64) for b in blocks]
+        weights = [np.array([w for _, w in b], dtype=np.int64) for b in blocks]
+        if not expected:
+            with pytest.raises(ValueError, match="^s: cannot count"):
+                count_blocks(arrays, "s", weights=weights)
+            return
+        table = count_blocks(arrays, "s", weights=weights)
+        assert table.ids.tolist() == sorted(expected)
+        assert table.counts.tolist() == [expected[t] for t in sorted(expected)]
+
     def test_empty_stream_names_the_file(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("# header only\n\n", encoding="utf-8")
@@ -237,6 +255,21 @@ class TestAuc:
             points=np.array([[0.0, 1.0], [0.1, 1.1], [3.9, 4.9], [4.0, 5.0]])
         )
         assert auc(a) == pytest.approx(auc(b), abs=1e-12)
+
+    @given(
+        st.lists(st.floats(0, 12), min_size=2, max_size=60, unique=True).flatmap(
+            lambda xs: st.tuples(st.just(sorted(xs)), st.lists(
+                st.floats(-20, 20), min_size=len(xs), max_size=len(xs)))),
+        st.integers(1, 1100).map(lambda k: 2 * k + 1),
+    )
+    @settings(deadline=None)
+    def test_matches_scipy_simpson_of_the_resampling(self, points, grid):
+        xs, ys = points
+        assume(xs[-1] - xs[0] > 1e-6)
+        curve = RankFrequencyCurve(points=np.column_stack([xs, ys]))
+        grid_x = np.linspace(xs[0], xs[-1], grid)
+        want = simpson(np.interp(grid_x, xs, ys), x=grid_x)
+        assert auc(curve, grid=grid) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_grid_validation(self):
         curve = RankFrequencyCurve(points=np.array([[0.0, 1.0], [1.0, 1.0]]))
