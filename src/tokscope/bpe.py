@@ -112,8 +112,8 @@ def pretokenize(text: str) -> list[str]:
     return _PRETOKENIZER.findall(text)
 
 
-def _read_only(values, dtype=np.int64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64)
     arr.flags.writeable = False
     return arr
 
