@@ -254,16 +254,18 @@ def _parse_block(head: bytes) -> np.ndarray | None:
     if not (is_digit | (raw == ord(" ")) | (raw - np.uint8(9) < 5)).all():
         return None
     digits *= is_digit
-    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
-    starts, ends = edges[0::2], edges[1::2]
-    lengths = ends - starts
+    # Each digit run is the bytes after `before` up to `last`.
+    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
+    before, last = edges[0::2], edges[1::2]
+    lengths = last - before
     longest = int(lengths.max(initial=0))
     # Sum over right-aligned digit columns; column k of a run shorter than
     # k + 1 reads the whitespace before it. 19 digits always fit in uint64.
-    last, before = ends - 1, starts - 1
-    values = np.zeros(len(starts), dtype=np.uint64)
+    values = np.zeros(len(last), dtype=np.uint64)
+    at, column = np.empty_like(last), np.empty_like(values)
     for k in range(min(longest, _MAX_DIGITS)):
-        values += digits[np.maximum(last - k, before)] * np.uint64(10**k)
+        np.maximum(np.subtract(last, k, out=at), before, out=at)
+        values += np.multiply(digits[at], np.uint64(10**k), out=column)
     if longest >= _MAX_DIGITS:
         if (values > np.uint64(_INT64_MAX)).any():
             return None
@@ -272,9 +274,9 @@ def _parse_block(head: bytes) -> np.ndarray | None:
             # 19 puts the id out of range.
             nonzero = np.concatenate(([0], np.cumsum(digits > 0)))
             wide = lengths > _MAX_DIGITS
-            if (nonzero[ends[wide] - _MAX_DIGITS] > nonzero[starts[wide]]).any():
+            if (nonzero[last[wide] + 1 - _MAX_DIGITS] > nonzero[before[wide] + 1]).any():
                 return None
-    return values.astype(np.int64)
+    return values.view(np.int64)  # every value is at most _INT64_MAX
 
 
 def _first_bad_entry(head: bytes, entries_before: int) -> str:

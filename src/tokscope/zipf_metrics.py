@@ -21,6 +21,9 @@ arrays of sorted distinct ids and their counts. `count_blocks` is the one
 counting path: `count_token_file` feeds it a file block by block,
 `count_frequencies` an in-memory stream as one block, and `metrics
 --corpus` each distinct BPE piece's ids, weighted by the piece's count.
+It counts into an array indexed by id while the ids are dense, and into
+a sorted table once they are not, so its memory is bounded by the
+vocabulary and one block either way.
 """
 
 from __future__ import annotations
@@ -129,19 +132,39 @@ def count_blocks(blocks: Iterable[np.ndarray], source: str,
                  weights: Iterable[np.ndarray] | None = None) -> TokenFrequencyTable:
     """Count a stream given as consecutive blocks of ids.
 
-    Each block's counts are added in int64 to a running sorted (ids,
-    counts) table. Ids the table lacks wait in a list, which is sorted
-    into the table once it holds more entries than the table does, so
-    each copy of the table is paid for by as many new entries, and a
-    vocabulary that keeps growing does not cost a copy per block. Memory
-    is O(largest block + vocabulary) however long the stream is.
+    While the ids are dense, each block's counts are added in int64 to an
+    array indexed by id, in O(block) time. The array grows when a block
+    holds a larger id, to at most 2 x (distinct ids so far) + 3 x (block
+    length) ids, about the memory the sorted table below and `np.unique`
+    of that block would take. A block that would break that bound (an id
+    of 2**62, say) moves the nonzero counts into the sorted table, once.
+    From then on each block's `np.unique` counts are added in int64 to a
+    running sorted (ids, counts) table. Ids the table lacks wait in a
+    list, which is sorted into the table once it holds more entries than
+    the table does, so a vocabulary that keeps growing does not cost a
+    copy per block. Either way memory is O(largest block + vocabulary)
+    however long the stream is.
     `source` names the stream in the error raised when it holds no token.
     `weights`, when given, holds an int64 array for each block: how many
     times each of its ids counts.
     """
+    dense = np.zeros(0, dtype=np.int64)  # None once the ids are too sparse
     ids, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     waiting, n_waiting = [], 0
     for block, weight in zip(blocks, repeat(None) if weights is None else weights):
+        if not len(block):
+            continue
+        if weight is not None and weight.min() <= 0:
+            raise ValueError("counts must be positive")
+        if dense is not None:
+            grown = _cover(dense, block)
+            if grown is not None:
+                dense = grown
+                np.add.at(dense, block, 1 if weight is None else weight)
+                continue
+            ids = np.flatnonzero(dense)
+            counts = dense[ids]
+            dense = None
         if weight is None:
             new_ids, new_counts = np.unique(block, return_counts=True)
         else:
@@ -158,11 +181,32 @@ def count_blocks(blocks: Iterable[np.ndarray], source: str,
             if n_waiting > len(ids):
                 ids, counts = _add_new_ids(ids, counts, waiting)
                 waiting, n_waiting = [], 0
+    if dense is not None:
+        ids = np.flatnonzero(dense)
+        counts = dense[ids]
     if waiting:
         ids, counts = _add_new_ids(ids, counts, waiting)
     if not len(ids):
         raise ValueError(f"{source}: cannot count frequencies of an empty stream")
     return TokenFrequencyTable(ids, counts)
+
+
+def _cover(dense, block):
+    """`dense`, grown if need be to index every id of a non-empty `block`;
+    None if that would break the bound `count_blocks` keeps."""
+    if block.min() < 0:
+        raise ValueError("token ids must be non-negative")
+    top = int(block.max())
+    if top < len(dense):
+        return dense
+    # Distinct ids are recounted only when the array must grow, which
+    # copies it anyway.
+    limit = 2 * np.count_nonzero(dense) + 3 * len(block)
+    if top >= limit:
+        return None
+    grown = np.zeros(min(limit, max(top + 1, 2 * len(dense))), dtype=np.int64)
+    grown[: len(dense)] = dense
+    return grown
 
 
 def _add_new_ids(ids, counts, waiting):

@@ -693,6 +693,21 @@ class TestRunDispatch:
             "print(sorted(m for m in ('regex', 'tokscope.bpe') if m in sys.modules))")
         assert proc.stdout.strip() == "[]"
 
+    def test_cli_import_leaves_predictor_and_ranking_unloaded(self):
+        # Only predict and rank need them.
+        proc = fresh_python(
+            "-c", "import sys; import tokscope.cli; "
+            "print(sorted(m for m in ('tokscope.predictor', 'tokscope.ranking') "
+            "if m in sys.modules))")
+        assert proc.stdout.strip() == "[]"
+
+    def test_model_choices_are_the_predictor_kinds(self):
+        from tokscope.predictor import MODEL_KINDS
+
+        predict = _build_parser()._subparsers._group_actions[0].choices["predict"]
+        (model,) = [a for a in predict._actions if a.dest == "model"]
+        assert tuple(model.choices) == MODEL_KINDS
+
     def test_python_m_tokscope_cli_warns_nothing(self):
         proc = fresh_python("-W", "error::RuntimeWarning", "-m", "tokscope.cli", "--version")
         assert proc.returncode == 0, proc.stderr

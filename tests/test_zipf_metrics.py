@@ -13,16 +13,19 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from tokscope import corpus_io
+from tokscope import zipf_metrics
 from tokscope.zipf_metrics import count_blocks
 from tokscope import (
     DEFAULT_TRUNCATION_BOUND,
@@ -173,6 +176,96 @@ class TestCountTokenFile:
         path.write_text("1 2 99999999999999999999 3\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: entry 3: token id")):
             count_token_file(path)
+
+
+HUGE = 2**62
+WEIGHTED_IDS = st.lists(st.tuples(st.integers(0, 60), st.integers(1, 10**15)), max_size=30)
+
+
+@st.composite
+def weighted_blocks(draw):
+    """Blocks of (id, weight) pairs, some empty, in one of three regimes:
+    dense ids throughout, an id of 2**62 or more in the first block, or
+    one in a late block after dense ones."""
+    top = draw(st.integers(0, 60))
+    blocks = draw(st.lists(WEIGHTED_IDS.map(lambda b: [(t % (top + 1), w) for t, w in b]),
+                           min_size=1, max_size=8))
+    regime = draw(st.sampled_from(["dense", "huge first", "huge late"]))
+    if regime != "dense":
+        block = blocks[0] if regime == "huge first" else draw(WEIGHTED_IDS)
+        if regime == "huge late":
+            blocks.append(block)
+        huge = (draw(st.integers(HUGE, 2**63 - 1)), draw(st.integers(1, 10**15)))
+        block.insert(draw(st.integers(0, len(block))), huge)
+    return blocks
+
+
+class TestCountBlocks:
+    """Counting by id while ids are dense, and by sorted table after."""
+
+    @given(weighted_blocks())
+    @example([[(0, 3), (2, 1), (1, 5), (2, 2)], [], [(5, 1), (0, 2), (5, 7)], [],
+              [(9, 4), (3, 1), (9, 1), (8, 2)], [(1, 1)]])  # dense, growing twice
+    @example([[(3, 2), (HUGE + 7, 5), (3, 1)], [], [(1, 4), (HUGE + 7, 1)], [(2**63 - 1, 3)]])
+    @example([[(0, 1), (4, 2), (2, 3), (4, 1)], [], [(1, 1), (3, 2)], [],
+              [(2, 5), (HUGE, 1), (4, 1), (60, 2)], [(HUGE, 2), (0, 1), (7, 3)]])
+    def test_matches_unique_and_counter_of_the_stream(self, blocks):
+        stream = np.array([t for block in blocks for t, _ in block], dtype=np.int64)
+        arrays = [np.array([t for t, _ in b], dtype=np.int64) for b in blocks]
+        weights = [np.array([w for _, w in b], dtype=np.int64) for b in blocks]
+        if not len(stream):
+            for w in (None, weights):
+                with pytest.raises(ValueError, match="^s: cannot count"):
+                    count_blocks(arrays, "s", weights=w)
+            return
+        table = count_blocks(arrays, "s")
+        ids, counts = np.unique(stream, return_counts=True)
+        np.testing.assert_array_equal(table.ids, ids)
+        np.testing.assert_array_equal(table.counts, counts)
+        expected = Counter()
+        for block in blocks:
+            for token, weight in block:
+                expected[token] += weight
+        table = count_blocks(arrays, "s", weights=weights)
+        assert table.ids.tolist() == sorted(expected)
+        assert table.counts.tolist() == [expected[t] for t in sorted(expected)]
+
+    @pytest.mark.parametrize("blocks", [[[0, 2**40]], [[2**40, 0, 2**40]], [[0], [], [2**40]]])
+    def test_far_apart_ids_allocate_no_array_that_spans_them(self, blocks):
+        tracemalloc.start()
+        try:
+            table = count_blocks([np.array(b, dtype=np.int64) for b in blocks], "s")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.ids.tolist() == [0, 2**40]
+        assert table.total == sum(map(len, blocks))
+        assert peak < 1 << 20
+
+    def test_benchmark_sized_stream_is_counted_by_id(self):
+        # Like the 200 k-type benchmark streams: ids 100000-299999, fewer
+        # than half of them used, and the first block already holds the
+        # largest. Such streams must not fall back to sorting.
+        rng = np.random.default_rng(0)
+        used = np.sort(rng.choice(np.arange(100_000, 300_000), 86_000, replace=False))
+        zipf = 1 / np.arange(1, len(used) + 1)
+        stream = rng.choice(used, 900_000, p=zipf / zipf.sum())
+        stream[:2] = used[-1], used[0]
+        ids, counts = np.unique(stream, return_counts=True)
+        with mock.patch.object(zipf_metrics.np, "unique", side_effect=AssertionError("sorted")):
+            table = count_blocks(np.split(stream, range(149_787, len(stream), 149_787)), "s")
+        np.testing.assert_array_equal(table.ids, ids)
+        np.testing.assert_array_equal(table.counts, counts)
+
+    @pytest.mark.parametrize("blocks", [[[3, -1]], [[0, 1, 2], [-5]], [[HUGE], [-1, 0]]])
+    def test_negative_id_rejected(self, blocks):
+        with pytest.raises(ValueError, match="token ids must be non-negative"):
+            count_blocks([np.array(b, dtype=np.int64) for b in blocks], "s")
+
+    @pytest.mark.parametrize("ids", [[1, 2], [1, HUGE]])
+    def test_weight_below_one_rejected(self, ids):
+        with pytest.raises(ValueError, match="counts must be positive"):
+            count_blocks([np.array(ids)], "s", weights=[np.array([1, 0])])
 
 
 class TestCurve:
