@@ -133,11 +133,12 @@ def count_blocks(blocks: Iterable[np.ndarray], source: str,
     """Count a stream given as consecutive blocks of ids.
 
     While the ids are dense, each block's counts are added in int64 to an
-    array indexed by id, in O(block) time. The array grows when a block
-    holds a larger id, to at most 2 x (distinct ids so far) + 3 x (block
-    length) ids, about the memory the sorted table below and `np.unique`
-    of that block would take. A block that would break that bound (an id
-    of 2**62, say) moves the nonzero counts into the sorted table, once.
+    array indexed by id, in O(block) time. When a block holds a larger id
+    the array grows by at least half, to at most 2 x (distinct ids so
+    far) + 3 x (block length) ids, about the memory the sorted table
+    below and `np.unique` of that block would take. A block that would
+    break that bound (an id of 2**62, say) moves the nonzero counts into
+    the sorted table, once.
     From then on each block's `np.unique` counts are added in int64 to a
     running sorted (ids, counts) table. Ids the table lacks wait in a
     list, which is sorted into the table once it holds more entries than
@@ -154,7 +155,7 @@ def count_blocks(blocks: Iterable[np.ndarray], source: str,
     for block, weight in zip(blocks, repeat(None) if weights is None else weights):
         if not len(block):
             continue
-        if weight is not None and weight.min() <= 0:
+        if weight is not None and weight.min() <= 0:  # the array would drop its id
             raise ValueError("counts must be positive")
         if dense is not None:
             grown = _cover(dense, block)
@@ -199,12 +200,13 @@ def _cover(dense, block):
     top = int(block.max())
     if top < len(dense):
         return dense
-    # Distinct ids are recounted only when the array must grow, which
-    # copies it anyway.
-    limit = 2 * np.count_nonzero(dense) + 3 * len(block)
-    if top >= limit:
+    # Each growth makes the array at least half as large again, so its
+    # copies and the recounts of distinct ids cost O(1) per id over the
+    # whole stream.
+    size = max(top + 1, len(dense) * 3 // 2)
+    if size > 2 * np.count_nonzero(dense) + 3 * len(block):
         return None
-    grown = np.zeros(min(limit, max(top + 1, 2 * len(dense))), dtype=np.int64)
+    grown = np.zeros(size, dtype=np.int64)
     grown[: len(dense)] = dense
     return grown
 
