@@ -20,7 +20,7 @@ _PUBLIC = {
         "DIRECTIONS", "LANGUAGES", "SCALES",
         "Document", "DownstreamFixture", "ScoreEntry", "TokenSequence",
         "load_bundled_fixture", "load_corpus", "load_downstream_fixture",
-        "load_token_stream", "save_downstream_fixture", "save_token_stream",
+        "load_token_stream", "read_documents", "save_downstream_fixture", "save_token_stream",
     ),
     "bpe": (
         "BpeTokenizer", "UnknownSymbolError", "byte_to_unicode", "count_encoded",

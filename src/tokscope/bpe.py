@@ -15,8 +15,15 @@ fusing every occurrence of it left to right. A piece always merges to
 the same ids, so a call merges each distinct piece once, and merges a
 batch's new pieces together in one numpy pass: each round fuses the
 best pair of every piece at once and ranks again only the pairs next to
-a merge, until no piece has a ranked pair. Memos of merged pieces live
-as long as one call. Decoding inverts the byte mapping, so
+a merge, until no piece has a ranked pair.
+
+`encode_lines` and `count_encoded` work on words: the chunks of a text
+split at its spaces. When each space has non-whitespace on both sides,
+the text's pieces are those of its words, each after the first with its
+leading space (see `_words`), so a call pre-tokenizes and renders or
+counts each distinct word once, and a repeated word costs a dictionary
+lookup. Any other text is pre-tokenized whole. Memos of words and pieces
+live as long as one call. Decoding inverts the byte mapping, so
 decode(encode(text)) == text for any vocabulary whose merges were built
 over the same byte alphabet.
 """
@@ -232,34 +239,34 @@ def _merge(tokenizer: BpeTokenizer, pieces: list[str]):
     return sym[kept], np.cumsum(kept)[~kept]
 
 
-def _merge_batch(tokenizer: BpeTokenizer, pieces: list[list[str]], seen, first: int):
-    """Merge once each piece of a batch of texts that `seen` does not hold.
+def _words(text: str) -> list[str] | None:
+    """The words of `text` between its spaces, or None if a space has
+    whitespace or nothing on one side.
 
-    `pieces` holds the pieces of each text, and `first` is the position
-    of the batch's first text among all those encoded. Returns the new
-    pieces, their merged indices end to end and each one's end offset. A
-    byte that has no one-byte token raises UnknownSymbolError for the
-    first text that holds one.
+    A space with non-whitespace on both sides starts a piece: the pattern
+    has no lookbehind, only its whitespace runs hold a space other than
+    as their first character, and its (?!\\S) cannot look past a
+    non-space. So the pieces of such a text are those of its first word
+    followed by those of each later word with its leading space.
+    `str.isspace` holds for every character that the pattern's \\s
+    matches, so taking it as the test of whitespace may leave a text off
+    the word path, but never cuts one at a wrong place.
     """
-    new = list(set(chain.from_iterable(pieces)).difference(seen))
-    merged = _merge(tokenizer, new)
-    if merged is None:
-        text, byte = next((i, b) for i, text_pieces in enumerate(pieces)
-                          for b in "".join(text_pieces).encode("utf-8")
-                          if tokenizer.byte_index[b] < 0)
-        raise UnknownSymbolError(
-            f"symbol {_BYTE_ENCODER[byte]!r} is not in the vocabulary; "
-            "vocab and merges files are inconsistent",
-            first + text,
-        )
-    return (new, *merged)
+    words = text.split(" ")
+    if "" in words:
+        return None
+    # A printable text holds no whitespace but the space.
+    if not text.isprintable() and any(w[0].isspace() or w[-1].isspace() for w in words):
+        return None
+    return words
 
 
-def _batches(texts: Iterable[str]) -> Iterator[tuple[int, list[list[str]]]]:
-    """The position of each batch's first text, and the pieces of each of its texts."""
+def _batches(texts: Iterable[str]) -> Iterator[tuple[int, list]]:
+    """The position of each batch's first text, and each of its texts with
+    its words (None off the word path)."""
     batch, chars, first = [], 0, 0
     for text in texts:
-        batch.append(pretokenize(text))
+        batch.append((text, _words(text)))
         chars += len(text)
         if chars >= BATCH_CHARS:
             yield first, batch
@@ -267,6 +274,36 @@ def _batches(texts: Iterable[str]) -> Iterator[tuple[int, list[list[str]]]]:
             batch, chars = [], 0
     if batch:
         yield first, batch
+
+
+def _merge_batch(tokenizer: BpeTokenizer, first: int, batch: list, words, firsts, pieces):
+    """Pre-tokenize what a batch of texts holds that the memos lack, and
+    merge each of its new pieces once.
+
+    `batch` comes from `_batches`, and `first` is the position of its
+    first text among all those encoded. The units are each word that
+    `words` lacks, with its leading space, each first word of a text that
+    `firsts` lacks, and each text off the word path, whole. Returns the
+    new words, the new first words, the pieces of each unit in that
+    order, the pieces that `pieces` lacks, their merged indices end to
+    end and each one's end offset. A byte that has no one-byte token
+    raises UnknownSymbolError for the first text that holds one.
+    """
+    new_words = list(set(chain.from_iterable(w[1:] for _, w in batch if w)).difference(words))
+    new_firsts = list({w[0] for _, w in batch if w}.difference(firsts))
+    units = [*(pretokenize(" " + word) for word in new_words), *map(pretokenize, new_firsts),
+             *(pretokenize(text) for text, w in batch if w is None)]
+    new_pieces = list(set(chain.from_iterable(units)).difference(pieces))
+    merged = _merge(tokenizer, new_pieces)
+    if merged is None:
+        text, byte = next((i, b) for i, (text, _) in enumerate(batch)
+                          for b in text.encode("utf-8") if tokenizer.byte_index[b] < 0)
+        raise UnknownSymbolError(
+            f"symbol {_BYTE_ENCODER[byte]!r} is not in the vocabulary; "
+            "vocab and merges files are inconsistent",
+            first + text,
+        )
+    return new_words, new_firsts, units, new_pieces, *merged
 
 
 def _parts(new: list[str], values: list, ends: np.ndarray) -> Iterator[tuple[str, list]]:
@@ -277,8 +314,7 @@ def _parts(new: list[str], values: list, ends: np.ndarray) -> Iterator[tuple[str
 
 def encode(tokenizer: BpeTokenizer, text: str, name: str = "") -> TokenSequence:
     """The ids of `text`; the call merges each of its distinct pieces once."""
-    pieces = pretokenize(text)
-    new, merged, ends = _merge_batch(tokenizer, [pieces], (), 0)
+    _, _, (pieces,), new, merged, ends = _merge_batch(tokenizer, 0, [(text, None)], (), (), ())
     memo = dict(_parts(new, tokenizer.ids[merged].tolist(), ends))
     ids = np.fromiter(chain.from_iterable(map(memo.__getitem__, pieces)), dtype=np.int64)
     return TokenSequence(tokens=ids, source_tokenizer=name)
@@ -287,37 +323,63 @@ def encode(tokenizer: BpeTokenizer, text: str, name: str = "") -> TokenSequence:
 def encode_lines(tokenizer: BpeTokenizer, texts: Iterable[str]) -> Iterator[str]:
     """The ids of `encode(tokenizer, text)` of each text, as space-separated decimals.
 
-    Within the call each distinct piece is merged and rendered once, a
-    batch's new pieces together; a line joins the rendered pieces, so no
-    id passes through a list or an array. A failure raises
-    UnknownSymbolError, which gives the position of the failing text.
+    Within the call each distinct word (see `_words`) is pre-tokenized
+    and rendered once and each distinct piece merged once, a batch's new
+    pieces together; a line joins the rendered words of its text, so no
+    id passes through a list or an array. A text off the word path is
+    pre-tokenized whole each time. A failure raises UnknownSymbolError,
+    which gives the position of the failing text.
     """
-    memo: dict[str, str] = {}
+    words, firsts, pieces = {}, {}, {}  # each one's ids as text
     id_text = tokenizer.id_text
     for first, batch in _batches(texts):
-        new, merged, ends = _merge_batch(tokenizer, batch, memo, first)
-        words = [id_text[j] for j in merged.tolist()]
-        memo.update((piece, " ".join(part)) for piece, part in _parts(new, words, ends))
-        for pieces in batch:
-            yield " ".join(map(memo.__getitem__, pieces))
+        new_words, new_firsts, units, new_pieces, merged, ends = _merge_batch(
+            tokenizer, first, batch, words, firsts, pieces)
+        id_texts = [id_text[j] for j in merged.tolist()]
+        pieces.update((piece, " ".join(part)) for piece, part in _parts(new_pieces, id_texts, ends))
+        rendered = [" ".join(map(pieces.__getitem__, unit)) for unit in units]
+        words.update(zip(new_words, rendered))
+        firsts.update(zip(new_firsts, rendered[len(new_words):]))
+        others = iter(rendered[len(new_words) + len(new_firsts):])
+        for _, text_words in batch:
+            if text_words is None:
+                yield next(others)
+            else:
+                yield " ".join([firsts[text_words[0]], *map(words.__getitem__, text_words[1:])])
 
 
 def count_encoded(tokenizer: BpeTokenizer, texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
     """The ids of each distinct piece of the texts' encoding, and for each
     id the count of its piece, for `zipf_metrics.count_blocks`.
 
-    Memory grows with the distinct pieces, not with the texts. A failure
-    raises UnknownSymbolError, as in `encode_lines`.
+    Words are counted, and each piece of a distinct word counts as often
+    as the word; so does each piece of a text off the word path. Memory
+    grows with the distinct words and pieces, not with the texts. A
+    failure raises UnknownSymbolError, as in `encode_lines`.
     """
-    counts: Counter[str] = Counter()
-    pieces, merged, sizes = [], [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    words, firsts, pieces = {}, {}, {}  # the positions of each one's pieces among those merged
+    counts = Counter(), Counter(), Counter()  # of words, first words and pieces off the word path
+    merged, sizes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for first, batch in _batches(texts):
-        new, batch_merged, ends = _merge_batch(tokenizer, batch, counts, first)
-        counts.update(chain.from_iterable(batch))
-        pieces += new
+        new_words, new_firsts, units, new_pieces, batch_merged, ends = _merge_batch(
+            tokenizer, first, batch, words, firsts, pieces)
+        pieces.update((piece, (i,)) for i, piece in enumerate(new_pieces, start=len(pieces)))
         merged.append(batch_merged)
         sizes.append(np.diff(ends, prepend=0))
-    weights = np.fromiter(map(counts.__getitem__, pieces), dtype=np.int64, count=len(pieces))
+        on_path = len(new_words) + len(new_firsts)
+        held = [tuple(chain.from_iterable(map(pieces.__getitem__, unit)))
+                for unit in units[:on_path]]
+        words.update(zip(new_words, held))
+        firsts.update(zip(new_firsts, held[len(new_words):]))
+        texts_words = [w for _, w in batch if w]
+        counts[0].update(chain.from_iterable(w[1:] for w in texts_words))
+        counts[1].update(w[0] for w in texts_words)
+        counts[2].update(chain.from_iterable(units[on_path:]))
+    weights = np.zeros(len(pieces), dtype=np.int64)
+    for memo, counted in zip((words, firsts, pieces), counts):
+        held = list(map(memo.__getitem__, counted))
+        at = np.fromiter(chain.from_iterable(held), dtype=np.int64)
+        np.add.at(weights, at, np.repeat(list(counted.values()), list(map(len, held))))
     return tokenizer.ids[np.concatenate(merged)], np.repeat(weights, np.concatenate(sizes))
 
 

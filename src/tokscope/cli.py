@@ -19,6 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,9 @@ from . import __version__
 from .corpus_io import (
     TokenSequence,
     load_bundled_fixture,
-    load_corpus,
     load_downstream_fixture,
     read_commented_csv,
+    read_documents,
     read_text,
     save_token_stream,
 )
@@ -150,21 +151,24 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
 
     name = config.tokenizer_name or Path(config.vocab).stem
     tokenizer = bpe.load_bpe(config.vocab, config.merges)
-    docs = load_corpus(config.corpus, config.corpus_format)
-    with _naming_the_document(config, docs):
+    docs = read_documents(config.corpus, config.corpus_format)
+    with _naming_the_document(config):
         ids, weights = bpe.count_encoded(tokenizer, (doc.text for doc in docs))
     return count_blocks([ids], str(config.corpus), weights=[weights]), name
 
 
 @contextmanager
-def _naming_the_document(config: RunConfig, docs):
-    """A failure to encode one of `docs` names the corpus and the document."""
+def _naming_the_document(config: RunConfig):
+    """A failure to encode a document of the corpus names the corpus and
+    the document, which is found by reading the corpus again."""
     from .bpe import UnknownSymbolError
 
     try:
         yield
     except UnknownSymbolError as e:
-        raise ValueError(f"{config.corpus} document {docs[e.text_index].id}: {e}") from None
+        docs = read_documents(config.corpus, config.corpus_format)
+        doc = next(islice(docs, e.text_index, None))
+        raise ValueError(f"{config.corpus} document {doc.id}: {e}") from None
 
 
 def _cmd_encode(config: RunConfig) -> int:
@@ -172,12 +176,12 @@ def _cmd_encode(config: RunConfig) -> int:
     from . import bpe
 
     tokenizer = bpe.load_bpe(config.vocab, config.merges)
-    docs = load_corpus(config.corpus, config.corpus_format)
+    docs = read_documents(config.corpus, config.corpus_format)
     out = Path(config.out)
     with out.open("w", encoding="utf-8") as fh:
         try:
             fh.write(_comment_line(config) + "\n")
-            with _naming_the_document(config, docs):
+            with _naming_the_document(config):
                 for line in bpe.encode_lines(tokenizer, (doc.text for doc in docs)):
                     fh.write(line + "\n")
         except BaseException:

@@ -23,6 +23,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,8 @@ BUNDLED_SCORES = "wmt21_mt_scores.csv"
 # per write call, which bounds the memory a file costs beyond its ids.
 READ_BLOCK_BYTES = 1 << 20
 WRITE_BLOCK_TOKENS = 1 << 20
+# Corpora are read this many bytes at a time, plus the rest of a line.
+_CORPUS_BLOCK_BYTES = 1 << 16
 
 _WHITESPACE = b" \t\n\r\v\f"
 _LINE_BREAKS = b"\n\r\v\f"
@@ -134,24 +137,32 @@ def read_text(path) -> str:
 
 
 def load_corpus(path, format: str = "plaintext-lines") -> list[Document]:
-    """Load documents from a plaintext-lines or jsonl file.
+    """The documents of a plaintext-lines or jsonl file (see `read_documents`)."""
+    return list(read_documents(path, format))
+
+
+def read_documents(path, format: str = "plaintext-lines") -> Iterator[Document]:
+    """Yield the documents of a plaintext-lines or jsonl file, reading a
+    block of whole lines at a time.
 
     Lines end at LF, and one CR before it is dropped; other line
     separators (VT, FF, U+0085, U+2028, ...) are text, so line numbers are
     those of `wc -l`. Empty lines (and jsonl records with empty text) are
     skipped: they contribute no tokens and would distort per-document
-    statistics.
+    statistics. Bytes that are not UTF-8 raise the error `read_text`
+    raises, with their position in the whole file.
     """
-    lines = [line[:-1] if line.endswith("\r") else line
-             for line in read_text(path).split("\n")]
-    docs: list[Document] = []
-    seen_ids: set[str] = set()
-    if format == "plaintext-lines":
-        for lineno, line in enumerate(lines, start=1):
-            if line:
-                docs.append(Document(id=str(lineno), text=line))
-    elif format == "jsonl":
-        for lineno, line in enumerate(lines, start=1):
+    with Path(path).open("rb") as fh:
+        if format not in ("plaintext-lines", "jsonl"):
+            raise ValueError(f"unknown corpus format {format!r}")
+        seen_ids: set[str] = set()
+        lines = enumerate(chain.from_iterable(_line_runs(fh, path)), start=1)
+        for lineno, line in lines:
+            line = line[:-1] if line.endswith("\r") else line
+            if format == "plaintext-lines":
+                if line:
+                    yield Document(id=str(lineno), text=line)
+                continue
             if not line.strip():
                 continue
             try:
@@ -169,10 +180,44 @@ def load_corpus(path, format: str = "plaintext-lines") -> list[Document]:
             if doc_id in seen_ids:
                 raise ValueError(f"{path} line {lineno}: duplicate document id {doc_id!r}")
             seen_ids.add(doc_id)
-            docs.append(Document(id=doc_id, text=text))
+            yield Document(id=doc_id, text=text)
+
+
+def _line_runs(fh, path) -> Iterator[list[str]]:
+    """The lines of a binary file, split at LF and decoded a run of whole
+    lines at a time."""
+    offset, parts = 0, []
+    while True:
+        chunk = fh.read(_CORPUS_BLOCK_BYTES)
+        cut = chunk.rfind(b"\n") + 1
+        if chunk and not cut:  # a line longer than a block goes on
+            parts.append(chunk)
+            continue
+        parts.append(chunk[:cut])
+        data = b"".join(parts)
+        parts = [chunk[cut:]]
+        try:
+            lines = data.decode("utf-8").split("\n")
+        except UnicodeDecodeError as e:
+            raise _decode_error(path, e, offset) from None
+        offset += len(data)
+        if not chunk:
+            yield lines
+            return
+        lines.pop()  # the empty text after the last LF; the next line starts here
+        yield lines
+
+
+def _decode_error(path, e: UnicodeDecodeError, offset: int) -> ValueError:
+    """The error of `read_text` for a decoding error in a run of lines that
+    starts `offset` bytes into the file, in the words of UnicodeDecodeError."""
+    start = e.start + offset
+    if e.end == e.start + 1:
+        where = f"byte 0x{e.object[e.start]:02x} in position {start}"
     else:
-        raise ValueError(f"unknown corpus format {format!r}")
-    return docs
+        where = f"bytes in position {start}-{e.end - 1 + offset}"
+    return ValueError(
+        f"{path}: invalid UTF-8: '{e.encoding}' codec can't decode {where}: {e.reason}")
 
 
 def read_token_blocks(path) -> Iterator[np.ndarray]:

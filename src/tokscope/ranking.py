@@ -125,6 +125,14 @@ def fit_bradley_terry(prob_matrix: np.ndarray, names=None) -> BTRatings:
         prev_ll = ll
         if delta < CONVERGENCE_TOL:
             break
+    else:
+        warnings.warn(
+            f"Bradley-Terry fit stopped after MAX_SWEEPS = {MAX_SWEEPS} sweeps without "
+            f"converging (last relative strength change {delta:.3g}); "
+            "the strengths may be far from the maximum-likelihood ones",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return BTRatings(
         values={name: float(v) for name, v in zip(names, lam)},
         iterations=iterations,

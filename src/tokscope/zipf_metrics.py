@@ -138,25 +138,38 @@ def count_blocks(blocks: Iterable[np.ndarray], source: str,
     far) + 3 x (block length) ids, about the memory the sorted table
     below and `np.unique` of that block would take. A block that would
     break that bound (an id of 2**62, say) moves the nonzero counts into
-    the sorted table, once.
-    From then on each block's `np.unique` counts are added in int64 to a
+    the sorted table.
+    There each block's `np.unique` counts are added in int64 to a
     running sorted (ids, counts) table. Ids the table lacks wait in a
     list, which is sorted into the table once it holds more entries than
     the table does, so a vocabulary that keeps growing does not cost a
-    copy per block. Either way memory is O(largest block + vocabulary)
-    however long the stream is.
+    copy per block. The counts move back into an array as soon as the
+    largest id so far keeps the array's bound, with the ids in the table
+    as the distinct ones. Either way memory is O(largest block +
+    vocabulary) however long the stream is.
     `source` names the stream in the error raised when it holds no token.
     `weights`, when given, holds an int64 array for each block: how many
     times each of its ids counts.
     """
-    dense = np.zeros(0, dtype=np.int64)  # None once the ids are too sparse
-    ids, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    dense = np.zeros(0, dtype=np.int64)  # None while the ids are too sparse
+    ids = counts = None  # the sorted table, while there is no array
     waiting, n_waiting = [], 0
     for block, weight in zip(blocks, repeat(None) if weights is None else weights):
         if not len(block):
             continue
         if weight is not None and weight.min() <= 0:  # the array would drop its id
             raise ValueError("counts must be positive")
+        if block.min() < 0:
+            raise ValueError("token ids must be non-negative")
+        if dense is None:
+            top = max(top, int(block.max()))
+            if top < 2 * len(ids) + 3 * len(block):  # the bound of `_cover`
+                dense = np.zeros(top + 1, dtype=np.int64)
+                dense[ids] = counts
+                for new_ids, new_counts in waiting:
+                    dense[new_ids] += new_counts
+                ids = counts = None
+                waiting, n_waiting = [], 0
         if dense is not None:
             grown = _cover(dense, block)
             if grown is not None:
@@ -166,6 +179,7 @@ def count_blocks(blocks: Iterable[np.ndarray], source: str,
             ids = np.flatnonzero(dense)
             counts = dense[ids]
             dense = None
+            top = int(block.max())
         if weight is None:
             new_ids, new_counts = np.unique(block, return_counts=True)
         else:
@@ -193,10 +207,9 @@ def count_blocks(blocks: Iterable[np.ndarray], source: str,
 
 
 def _cover(dense, block):
-    """`dense`, grown if need be to index every id of a non-empty `block`;
-    None if that would break the bound `count_blocks` keeps."""
-    if block.min() < 0:
-        raise ValueError("token ids must be non-negative")
+    """`dense`, grown if need be to index every id of a non-empty `block`
+    of non-negative ids; None if that would break the bound `count_blocks`
+    keeps."""
     top = int(block.max())
     if top < len(dense):
         return dense

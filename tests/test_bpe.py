@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import tempfile
+import tracemalloc
+from collections import Counter
+from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import regex
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -403,3 +409,92 @@ class TestBatchMerge:
         merged, ends = bpe._merge(tok, [])
         assert merged.tolist() == ends.tolist() == []
         assert bpe._merge(tok, ["ab", "ba", "ac", "ab"]) is None
+
+
+# Blanks that join words or stand at a text's ends: the space, runs of it,
+# and whitespace that the pattern's \s matches (tab, U+00A0, U+0085,
+# U+2028, U+3000) or that only str.isspace takes (U+001C).
+BLANKS = [" ", " ", " ", "  ", "\t", " \t", "\u00a0", " \u00a0", "\u0085", "\u2028",
+          "\u3000", " \u3000", "\u001c", " \u001c"]
+WORDS = st.sampled_from(
+    [*TRAINING_TEXT.split(), "'s", "x's", "123", "猫", "🙂", "a\tb", "c\u001cd", "\u00ad"]
+) | st.text(max_size=6)
+
+
+@st.composite
+def blank_joined_texts(draw):
+    """Words joined by blanks, with a blank at either end or not."""
+    parts = [draw(st.sampled_from(BLANKS))] if draw(st.booleans()) else []
+    for i, word in enumerate(draw(st.lists(WORDS, max_size=12))):
+        if i:
+            parts.append(draw(st.sampled_from(BLANKS)))
+        parts.append(word)
+    if draw(st.booleans()):
+        parts.append(draw(st.sampled_from(BLANKS)))
+    return "".join(parts)
+
+
+class TestWordPath:
+    """Texts cut at their spaces encode like the texts pre-tokenized whole."""
+
+    @given(blank_joined_texts())
+    @example("the dog's  bone\u3000 ran")
+    def test_words_pretokenize_like_their_text(self, text):
+        words = bpe._words(text)
+        if words is not None:
+            later = chain.from_iterable(pretokenize(" " + w) for w in words[1:])
+            assert pretokenize(text) == [*pretokenize(words[0]), *later]
+
+    @pytest.mark.parametrize("text, words", [
+        ("a b", ["a", "b"]), ("a\u00adb c", ["a\u00adb", "c"]), ("a\tb c", ["a\tb", "c"]),
+        ("", None), (" a", None), ("a ", None), ("a  b", None), ("a \tb", None),
+        ("a\u3000 b", None), ("a \u001cb", None),
+    ])
+    def test_which_texts_take_the_word_path(self, text, words):
+        assert bpe._words(text) == words
+
+    @settings(deadline=None, max_examples=150)
+    @given(texts=st.lists(blank_joined_texts(), max_size=12), batch_chars=st.integers(1, 120))
+    @example(texts=["the cat", " the cat", "the cat ", "the  cat", "cat the"], batch_chars=8)
+    def test_lines_and_counts_match_each_text_encoded_whole(self, trained_bpe, texts, batch_chars):
+        tok, _, _ = trained_bpe
+        texts = texts + texts  # later texts read their words from the call's memos
+        encoded = [encode(tok, text).tokens.tolist() for text in texts]
+        with mock.patch.object(bpe, "BATCH_CHARS", batch_chars):
+            lines = list(encode_lines(tok, texts))
+            ids, weights = bpe.count_encoded(tok, texts)
+        assert lines == [" ".join(map(str, e)) for e in encoded]
+        assert (weights > 0).all()
+        counted = Counter()
+        for token, weight in zip(ids.tolist(), weights.tolist()):
+            counted[token] += weight
+        assert counted == Counter(chain.from_iterable(encoded))
+
+    def test_every_character_the_pattern_takes_for_whitespace_is_isspace(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        blanks = regex.compile(r"\s", bpe._PRETOKENIZER.flags).findall(every)
+        assert len(blanks) > 20
+        assert all(c.isspace() for c in blanks)
+
+    @pytest.mark.parametrize("run", [
+        lambda tok, texts: sum(1 for _ in encode_lines(tok, texts)),
+        lambda tok, texts: bpe.count_encoded(tok, texts),
+    ], ids=["encode_lines", "count_encoded"])
+    def test_memory_grows_with_distinct_words_not_repeats(self, trained_bpe, run):
+        tok, _, _ = trained_bpe
+
+        def peak(n_texts, n_words):
+            rng = random.Random(0)
+            letters = "abcdefghijklmnopqrstuvwxyz"
+            words = ["".join(rng.choices(letters, k=6)) for _ in range(n_words)]
+            texts = (" ".join(rng.choices(words, k=20)) for _ in range(n_texts))
+            tracemalloc.start()
+            try:
+                run(tok, texts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few = peak(1_000, 500)
+        assert peak(10_000, 500) < few + 100_000
+        assert peak(1_000, 20_000) > few + 1_000_000

@@ -18,6 +18,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -392,6 +393,46 @@ class TestEncode:
                    "--format", corpus_format, "--out", out) == 1
         err = capsys.readouterr().err
         assert err == f"tokscope: error: {corpus} document {doc_id}: {SYMBOL_B_MISSING}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["encode", "metrics"])
+    def test_corpus_is_read_as_it_is_encoded(self, tmp_path, trained_bpe, command):
+        _, vocab_path, merges_path = trained_bpe
+
+        def peak(lines):
+            corpus = tmp_path / f"c{lines}.txt"
+            corpus.write_text("the quick brown fox jumps over the lazy dog\n" * lines,
+                              encoding="utf-8")
+            tracemalloc.start()
+            try:
+                assert cli(command, "--vocab", vocab_path, "--merges", merges_path,
+                           "--corpus", corpus, "--out", tmp_path / "out") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4_000)  # imports the modules the command needs
+        # Holding 40,000 documents would take about 8 MB.
+        assert peak(40_000) < peak(4_000) + 300_000
+
+    @pytest.mark.parametrize("corpus_format, text, message", [
+        pytest.param("jsonl", '{"text": "a"}\n' * BATCH_CHARS + '{"text": 1}\n',
+                     f' line {BATCH_CHARS + 1}: "text" must be a string', id="jsonl"),
+        pytest.param("plaintext-lines", "a\n" * BATCH_CHARS + "\xff\n",
+                     f": invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position "
+                     f"{2 * BATCH_CHARS}: invalid start byte", id="utf-8"),
+    ])
+    def test_corpus_error_after_a_batch_leaves_no_output(
+            self, tmp_path, capsys, corpus_format, text, message):
+        vocab, merges = tmp_path / "v.json", tmp_path / "m.txt"
+        vocab.write_text('{"a": 0}', encoding="utf-8")
+        merges.write_text("", encoding="utf-8")
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(text.encode("utf-8").replace(b"\xc3\xbf", b"\xff"))
+        out = tmp_path / "enc.txt"
+        assert cli("encode", "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+                   "--format", corpus_format, "--out", out) == 1
+        assert capsys.readouterr().err == f"tokscope: error: {corpus}{message}\n"
         assert not out.exists()
 
     def test_tokenizer_name_flag_is_gone(self, tmp_path, capsys):

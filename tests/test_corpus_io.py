@@ -22,9 +22,11 @@ from tokscope import (
     load_corpus,
     load_downstream_fixture,
     load_token_stream,
+    read_documents,
     save_downstream_fixture,
     save_token_stream,
 )
+from tokscope.corpus_io import read_text
 
 
 class TestTokenSequence:
@@ -113,6 +115,49 @@ class TestLoadCorpus:
         path.write_text("x\n", encoding="utf-8")
         with pytest.raises(ValueError, match="format"):
             load_corpus(path, format="parquet")
+
+
+# Bytes that make valid and invalid UTF-8, line ends among them.
+CORPUS_BYTES = [b"a", b" ", b"\n", b"\r", b"\r\n", b"\x0b", b"\xe2\x80\xa8", b"\xc3\xa9",
+                b"\xe4\xb8\xad", b"\xf0\x9f\x99\x82", b"\xff", b"\xc3", b"\xe4\xb8",
+                b"\xa9", b"\xf0\x9f", b"\xed\xa0\x80", b"\xc0\x80", b"\xf4\x90\x80\x80"]
+
+
+class TestReadDocuments:
+    """The corpus read a line at a time, as it was read whole before."""
+
+    @given(data=st.lists(st.sampled_from(CORPUS_BYTES), max_size=40).map(b"".join),
+           block=st.integers(1, 20))
+    def test_matches_the_whole_file_read(self, data, block):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(corpus_io, "_CORPUS_BLOCK_BYTES", block):
+            path = Path(tmp) / "c.txt"
+            path.write_bytes(data)
+            try:
+                text = read_text(path)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    load_corpus(path)
+                assert str(got.value) == str(e)  # the position is in the whole file
+                return
+            docs = load_corpus(path)
+        lines = [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
+        assert [(d.id, d.text) for d in docs] == [
+            (str(n), line) for n, line in enumerate(lines, start=1) if line]
+
+    def test_blank_and_crlf_lines(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"one\r\n\r\n \t\r\n\ntwo  \r\r\nthree")
+        assert [(d.id, d.text) for d in read_documents(path)] == [
+            ("1", "one"), ("3", " \t"), ("5", "two  \r"), ("6", "three")]
+
+    def test_documents_come_before_a_later_line_is_read(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"text": "one"}\n{"text": "two"}\n{not json}\n', encoding="utf-8")
+        docs = read_documents(path, format="jsonl")
+        assert [next(docs).text, next(docs).text] == ["one", "two"]
+        with pytest.raises(ValueError, match="line 3: malformed JSON"):
+            next(docs)
 
 
 def old_parser(text: str) -> tuple[list[int] | None, int | None]:

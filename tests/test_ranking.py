@@ -25,7 +25,7 @@ from tokscope import (
     load_bundled_fixture,
     ranking_from_ratings,
 )
-from tokscope.ranking import PROB_FLOOR
+from tokscope.ranking import MAX_SWEEPS, PROB_FLOOR
 
 
 def bt_matrix(strengths: np.ndarray) -> np.ndarray:
@@ -119,6 +119,22 @@ class TestFitBradleyTerry:
         ratings = fit_bradley_terry(bt_matrix(strengths))
         fitted = np.array([ratings.values[str(i)] for i in range(len(raw))])
         np.testing.assert_allclose(fitted, strengths, atol=1e-6)
+
+    def test_sweep_cap_warns(self):
+        # The nearly separable table below on which MM stops short.
+        probs = np.full((3, 3), 0.5)
+        rows, cols = np.triu_indices(3, k=1)
+        probs[rows, cols], probs[cols, rows] = 0.0, 1.0
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            with pytest.warns(RuntimeWarning, match="MAX_SWEEPS = 10000 sweeps without converging"):
+                ratings = fit_bradley_terry(probs)
+        assert ratings.iterations == MAX_SWEEPS
+
+    def test_converged_fit_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratings = fit_bradley_terry(bt_matrix(np.array([4.0, 2.0, 1.0])))
+        assert ratings.iterations < MAX_SWEEPS
 
     # MM stops short of the optimum on nearly separable tables: here it
     # spends all MAX_SWEEPS sweeps and ends 2.3 away in log-strength.

@@ -200,6 +200,17 @@ def weighted_blocks(draw):
     return blocks
 
 
+@st.composite
+def sparse_then_dense_blocks(draw):
+    """A first block of a few ids spread up to a top id, then blocks that
+    cover the ids below it densely enough for the array again."""
+    top = draw(st.integers(30, 400))
+    first = draw(st.lists(st.integers(0, top), min_size=1, max_size=top // 4))
+    rest = draw(st.lists(st.lists(st.integers(0, top), max_size=60), min_size=1, max_size=10))
+    weight = st.integers(1, 10**12)
+    return [[(t, draw(weight)) for t in b] for b in [[*first, top], *rest]]
+
+
 class TestCountBlocks:
     """Counting by id while ids are dense, and by sorted table after."""
 
@@ -229,6 +240,36 @@ class TestCountBlocks:
         table = count_blocks(arrays, "s", weights=weights)
         assert table.ids.tolist() == sorted(expected)
         assert table.counts.tolist() == [expected[t] for t in sorted(expected)]
+
+    @given(sparse_then_dense_blocks())
+    @example([[(0, 1), (99, 2)], [(1, 1)] * 10, [(t, 3) for t in range(0, 100, 2)],
+              [(t, 1) for t in range(100)], [(5, 4), (120, 1)]])  # back to the array, grown
+    def test_sparse_first_block_then_dense_matches_counter(self, blocks):
+        arrays = [np.array([t for t, _ in b], dtype=np.int64) for b in blocks]
+        weights = [np.array([w for _, w in b], dtype=np.int64) for b in blocks]
+        expected = Counter(t for block in blocks for t, _ in block)
+        table = count_blocks(arrays, "s")
+        assert table.ids.tolist() == sorted(expected)
+        assert table.counts.tolist() == [expected[t] for t in sorted(expected)]
+        weighted = Counter()
+        for block in blocks:
+            for token, weight in block:
+                weighted[token] += weight
+        table = count_blocks(arrays, "s", weights=weights)
+        assert table.counts.tolist() == [weighted[t] for t in sorted(weighted)]
+
+    def test_dense_stream_with_a_sparse_first_block_returns_to_the_array(self):
+        # Like gen-zipf with more types than a block holds: every id below
+        # 200,000 is used, but the first block's 20,000 ids reach 199,999.
+        rng = np.random.default_rng(3)
+        stream = rng.permutation(np.repeat(np.arange(200_000), 3))
+        blocks = np.split(stream, range(20_000, len(stream), 20_000))
+        unique = np.unique
+        with mock.patch.object(zipf_metrics.np, "unique", side_effect=unique) as sorting:
+            table = count_blocks(blocks, "s")
+        assert 0 < sorting.call_count < 10  # of 30 blocks
+        np.testing.assert_array_equal(table.ids, np.arange(200_000))
+        assert set(table.counts.tolist()) == {3}
 
     @pytest.mark.parametrize("blocks", [[[0, 2**40]], [[2**40, 0, 2**40]], [[0], [], [2**40]]])
     def test_far_apart_ids_allocate_no_array_that_spans_them(self, blocks):
