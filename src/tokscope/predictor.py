@@ -10,6 +10,9 @@ deterministic optimizers so repeated runs are bit-identical:
   linear-svm   hinge loss + L2, dual coordinate descent
   rbf-svm      kernel SVM fit by SMO, probabilities via Platt scaling
 
+Logistic regression and Platt scaling both minimize through
+stats.newton_minimize, the Newton loop that also fits Bradley-Terry.
+
 Features are standardized on the training split; the standardization is
 stored in the model and applied by the decision function. One fit path,
 _fit, serves all three kinds through a per-kind table, _KINDS: the
@@ -37,7 +40,7 @@ from itertools import product
 import numpy as np
 
 from .corpus_io import DownstreamFixture
-from .stats import f1_score
+from .stats import f1_score, newton_minimize
 from .zipf_metrics import METRIC_NAMES
 
 MODEL_KINDS = ("logistic", "linear-svm", "rbf-svm")
@@ -45,14 +48,10 @@ MODEL_KINDS = ("logistic", "linear-svm", "rbf-svm")
 REGULARIZATION_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 GAMMA_GRID = (0.01, 0.1, 1.0, 10.0)
 
-NEWTON_MAX_STEPS = 100
-NEWTON_GRAD_TOL = 1e-8
-NEWTON_STEP_TOL = 1e-6
 DCD_TOL = 1e-8
 DCD_MAX_SWEEPS = 100_000
 SMO_TOL = 1e-10
 SMO_MAX_STEPS = 200_000
-PLATT_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -198,15 +197,13 @@ def _select(X, y, splits, spec, fit_core):
 
 
 def _fit_logistic_core(X, y, lam):
-    """Newton's method on the L2-penalized mean log loss.
+    """Newton's method (stats.newton_minimize) on the L2-penalized mean log loss.
 
-    The intercept is not penalized. Each Newton system is solved by least
-    squares, because at lam = 0 a constant feature leaves the Hessian
-    singular; a step that raises the loss beyond rounding is halved.
-    The fit has converged when both the gradient and the Newton step are
-    small. Separable data with lam = 0 has no optimum: the gradient dies
-    out while the step stays of order one as the weights grow, so such a
-    fit raises after NEWTON_MAX_STEPS.
+    The intercept is not penalized. The minimizer's least-squares solve
+    matters here, because at lam = 0 a constant feature leaves the Hessian
+    singular. Separable data with lam = 0 has no optimum: the gradient
+    dies out while the step stays of order one as the weights grow, so
+    such a fit raises after NEWTON_MAX_STEPS.
     """
     mean, scale = _standardization(X)
     Z = (X - mean) / scale
@@ -221,32 +218,16 @@ def _fit_logistic_core(X, y, lam):
         softplus = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
         return float(np.mean(softplus)) + 0.5 * lam * float(theta[1:] @ theta[1:])
 
-    theta = np.zeros(d + 1)
-    fval = loss(theta)
-    for _ in range(NEWTON_MAX_STEPS):
+    def grad_hess(theta):
         p = _sigmoid(A @ theta)
         grad = A.T @ (p - y) / n
         grad[1:] += lam * theta[1:]
-        hess = (A.T * (p * (1.0 - p))) @ A / n + np.diag(penalty)
-        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        if (
-            np.linalg.norm(grad) <= NEWTON_GRAD_TOL
-            and np.linalg.norm(step) <= NEWTON_STEP_TOL
-        ):
-            break
-        shrink = 1.0
-        new_theta = theta - step
-        new_fval = loss(new_theta)
-        # A rise within rounding is no overshoot; halving on it would
-        # only stall a fit that is next to its optimum.
-        while new_fval > fval + 1e-12 * fval and shrink > 1e-10:
-            shrink /= 2.0
-            new_theta = theta - shrink * step
-            new_fval = loss(new_theta)
-        theta, fval = new_theta, new_fval
-    else:
+        return grad, (A.T * (p * (1.0 - p))) @ A / n + np.diag(penalty)
+
+    theta, _, steps, converged = newton_minimize(loss, grad_hess, np.zeros(d + 1))
+    if not converged:
         raise RuntimeError(
-            f"logistic fit did not converge in {NEWTON_MAX_STEPS} Newton steps "
+            f"logistic fit did not converge in {steps} Newton steps "
             f"(lam={lam}); the data may be separable or degenerate"
         )
     return mean, scale, float(theta[0]), theta[1:]
@@ -525,57 +506,34 @@ def _fit(kind, examples, cv_folds, fit_core, hyper, feature_names) -> PairwiseMo
 def fit_platt(decisions, labels) -> tuple[float, float]:
     """Fit (A, B) so that sigma(A*d + B) calibrates decision values d.
 
-    Newton's method with backtracking on the regularized cross-entropy,
-    using smoothed targets (N+ + 1)/(N+ + 2) and 1/(N- + 2).
+    Newton's method (stats.newton_minimize) on the cross-entropy against
+    Platt's smoothed targets (N+ + 1)/(N+ + 2) and 1/(N- + 2), which keep
+    the optimum finite even when the decisions separate the labels. Warns
+    if the minimizer stops before it converges.
     """
     d = np.asarray(decisions, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.float64) > 0.5
     prior1 = float(lab.sum())
     prior0 = float(len(lab) - prior1)
-    hi = (prior1 + 1.0) / (prior1 + 2.0)
-    lo = 1.0 / (prior0 + 2.0)
-    t = np.where(lab, hi, lo)
-    sigma = 1e-12
-    min_step = 1e-10
+    t = np.where(lab, (prior1 + 1.0) / (prior1 + 2.0), 1.0 / (prior0 + 2.0))
+    D = np.column_stack([d, np.ones(len(d))])
 
-    def objective(a, b):
-        f = a * d + b
-        # log(1 + exp(-|f|)) + max(f, 0) is the stable softplus of f.
-        return float(np.sum(t * f + np.log1p(np.exp(-np.abs(f))) + np.maximum(-f, 0.0)))
+    def objective(ab):
+        z = D @ ab
+        # log(1 + exp(-|z|)) + max(z, 0) is the stable softplus of z.
+        return float(np.sum(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - t * z))
 
-    A = 0.0
-    B = float(np.log((prior0 + 1.0) / (prior1 + 1.0)))
-    fval = objective(A, B)
-    for _ in range(PLATT_MAX_STEPS):
-        f = A * d + B
-        p = _sigmoid(-f)  # probability of the positive class in this parameterization
-        q = 1.0 - p
-        d2 = p * q
-        h11 = float(np.sum(d * d * d2)) + sigma
-        h22 = float(np.sum(d2)) + sigma
-        h21 = float(np.sum(d * d2))
-        g1 = float(np.sum(d * (t - p)))
-        g2 = float(np.sum(t - p))
-        if abs(g1) < 1e-5 and abs(g2) < 1e-5:
-            break
-        det = h11 * h22 - h21 * h21
-        dA = -(h22 * g1 - h21 * g2) / det
-        dB = -(-h21 * g1 + h11 * g2) / det
-        gd = g1 * dA + g2 * dB
-        step = 1.0
-        while step >= min_step:
-            new_a, new_b = A + step * dA, B + step * dB
-            new_f = objective(new_a, new_b)
-            if new_f < fval + 1e-4 * step * gd:
-                A, B, fval = new_a, new_b, new_f
-                break
-            step /= 2.0
-        else:
-            warnings.warn("Platt line search failed to make progress", RuntimeWarning)
-            break
-    # The loop minimizes with p = sigma(-(A*d + B)); flip signs so the
-    # returned parameters satisfy p = sigma(A*d + B).
-    return (-A, -B)
+    def grad_hess(ab):
+        p = _sigmoid(D @ ab)
+        return D.T @ (p - t), (D.T * (p * (1.0 - p))) @ D
+
+    start = np.array([0.0, np.log((prior1 + 1.0) / (prior0 + 1.0))])
+    (a, b), _, steps, converged = newton_minimize(objective, grad_hess, start)
+    if not converged:
+        warnings.warn(
+            f"Platt scaling did not converge in {steps} Newton steps", RuntimeWarning
+        )
+    return float(a), float(b)
 
 
 # --- prediction ----------------------------------------------------------

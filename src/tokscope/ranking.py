@@ -1,9 +1,11 @@
 """Turning pairwise win probabilities into global rankings.
 
-Bradley-Terry strengths are fit by minorization-maximization on
-fractional win counts: each probability P[i, j] counts as a partial win
-of i over j and a partial loss of 1 - P[i, j]. Strengths are
-geometric-mean normalized, so only their ratios are meaningful.
+Bradley-Terry strengths are fit on fractional win counts: each
+probability P[i, j] counts as a partial win of i over j and a partial
+loss of 1 - P[i, j]. The negative log-likelihood is convex in the
+log-strengths, and Newton's method (stats.newton_minimize) minimizes it.
+Strengths are geometric-mean normalized, so only their ratios are
+meaningful.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus_io import DownstreamFixture
-from .stats import CorrelationResult, kendall
+from .stats import CorrelationResult, kendall, newton_minimize
 
 PROB_FLOOR = 1e-6
-CONVERGENCE_TOL = 1e-10
-MAX_SWEEPS = 10_000
 TIE_EPS = 1e-12
 
 
@@ -43,12 +43,6 @@ class Ranking:
             raise ValueError("ordered and scores must have equal length")
         if len(set(self.ordered)) != len(self.ordered):
             raise ValueError("ranking contains duplicate items")
-
-
-def _log_likelihood(wins: np.ndarray, lam: np.ndarray, present: np.ndarray) -> float:
-    log_lam = np.log(lam)
-    log_sum = np.log(lam[:, None] + lam[None, :], where=present, out=np.zeros_like(wins))
-    return float(np.sum(wins * (log_lam[:, None] - log_sum), where=present))
 
 
 def fit_bradley_terry(prob_matrix: np.ndarray, names=None) -> BTRatings:
@@ -104,39 +98,39 @@ def fit_bradley_terry(prob_matrix: np.ndarray, names=None) -> BTRatings:
         )
     wins = np.where(present, clamped, 0.0)
 
-    lam = np.ones(n)
-    prev_ll = _log_likelihood(wins, lam, present)
-    iterations = 0
-    for sweep in range(1, MAX_SWEEPS + 1):
-        iterations = sweep
-        pair_sum = lam[:, None] + lam[None, :]
-        with np.errstate(divide="ignore"):
-            denom = np.where(present, 1.0 / pair_sum, 0.0).sum(axis=1)
-        total_wins = wins.sum(axis=1)
-        new_lam = total_wins / denom
-        new_lam /= np.exp(np.mean(np.log(new_lam)))
-        ll = _log_likelihood(wins, new_lam, present)
-        if ll < prev_ll - 1e-9:
-            raise RuntimeError(
-                f"log-likelihood decreased at sweep {sweep}: {prev_ll} -> {ll}"
-            )
-        delta = np.max(np.abs(new_lam - lam) / np.abs(lam))
-        lam = new_lam
-        prev_ll = ll
-        if delta < CONVERGENCE_TOL:
-            break
-    else:
+    def negative_log_likelihood(theta):
+        return float(np.sum(wins * np.logaddexp(0.0, theta[None, :] - theta[:, None])))
+
+    def grad_hess(theta):
+        # p[i, j] = sigma(theta_i - theta_j), the chance that i beats j.
+        p = np.exp(-np.logaddexp(0.0, theta[None, :] - theta[:, None]))
+        loss = wins * (1.0 - p)
+        # The Hessian is the Laplacian of the comparison graph weighted by
+        # (w_ij + w_ji) p_ij p_ji; its null space is the constant shift.
+        coupling = (wins + wins.T) * p * p.T
+        return (
+            loss.sum(axis=0) - loss.sum(axis=1),
+            np.diag(coupling.sum(axis=1)) - coupling,
+        )
+
+    # Every gradient sums to zero, and the least-squares Newton step is
+    # orthogonal to the constant shift, so theta keeps summing to zero.
+    theta, fval, steps, converged = newton_minimize(
+        negative_log_likelihood, grad_hess, np.zeros(n)
+    )
+    if not converged:
         warnings.warn(
-            f"Bradley-Terry fit stopped after MAX_SWEEPS = {MAX_SWEEPS} sweeps without "
-            f"converging (last relative strength change {delta:.3g}); "
-            "the strengths may be far from the maximum-likelihood ones",
+            f"Bradley-Terry fit stopped after NEWTON_MAX_STEPS = {steps} Newton steps "
+            "without converging; the strengths may be far from the "
+            "maximum-likelihood ones",
             RuntimeWarning,
             stacklevel=2,
         )
+    strengths = np.exp(theta - theta.mean())
     return BTRatings(
-        values={name: float(v) for name, v in zip(names, lam)},
-        iterations=iterations,
-        final_log_likelihood=prev_ll,
+        values={name: float(v) for name, v in zip(names, strengths)},
+        iterations=steps,
+        final_log_likelihood=-fval,
     )
 
 

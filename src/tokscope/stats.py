@@ -1,5 +1,6 @@
 """Self-contained statistical kernel: OLS, Simpson quadrature, rank
-correlations with exact small-sample p-values, and F1.
+correlations with exact small-sample p-values, F1, and the Newton
+minimizer that fits logistic regression, Platt scaling and Bradley-Terry.
 
 Everything here is deterministic double-precision arithmetic. The rank
 correlations use mid-ranks (Spearman) and tie-corrected tau-b (Kendall),
@@ -21,6 +22,12 @@ EXACT_PERMUTATION_MAX_N = 8
 # Slack when comparing permuted statistics against the observed one, so
 # that permutations achieving the observed value are always counted.
 _PERM_EPS = 1e-12
+
+# newton_minimize stops when both the gradient and the Newton step are
+# this small, or gives up after NEWTON_MAX_STEPS steps.
+NEWTON_MAX_STEPS = 100
+NEWTON_GRAD_TOL = 1e-8
+NEWTON_STEP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -238,3 +245,35 @@ def f1_score(predicted, actual) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+def newton_minimize(f, grad_hess, x0):
+    """Minimize a smooth convex f by Newton's method from x0.
+
+    grad_hess(x) returns the gradient and Hessian of f at x. Each Newton
+    system is solved by least squares, so a singular Hessian gives the
+    minimum-norm step, which is orthogonal to the Hessian's null space. A
+    step that raises f beyond rounding is halved, down to a factor of
+    1e-10. The minimizer has converged when both the gradient and the
+    Newton step are small. Returns (x, f(x), steps, converged).
+    """
+    x, fval = x0, f(x0)
+    for steps in range(NEWTON_MAX_STEPS):
+        grad, hess = grad_hess(x)
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        if (
+            np.linalg.norm(grad) <= NEWTON_GRAD_TOL
+            and np.linalg.norm(step) <= NEWTON_STEP_TOL
+        ):
+            return x, fval, steps, True
+        shrink = 1.0
+        new_x = x - step
+        new_fval = f(new_x)
+        # A rise within rounding is no overshoot; halving on it would
+        # only stall a fit that is next to its optimum.
+        while new_fval > fval + 1e-12 * fval and shrink > 1e-10:
+            shrink /= 2.0
+            new_x = x - shrink * step
+            new_fval = f(new_x)
+        x, fval = new_x, new_fval
+    return x, fval, NEWTON_MAX_STEPS, False

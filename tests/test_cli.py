@@ -791,3 +791,15 @@ def declared_console_script():
         pytest.skip(f"tokscope is not imported from a source checkout: no {pyproject}")
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
     return project["scripts"]["tokscope"], project["version"]
+
+
+def test_demo_pipeline_recovers_the_planted_order(tmp_path):
+    # The demo drives metrics, predict and rank through the CLI on a world
+    # whose quality order is planted, so every held-out F1 is 1.0.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "demo_pipeline.py"
+    proc = fresh_python(str(script), "--workdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "mean F1 = 1.000" in proc.stdout
+    assert json.loads((tmp_path / "predict.json").read_text())["mean_f1"] == 1.0
+    rank = json.loads((tmp_path / "rank.json").read_text())
+    assert rank["predicted"] == rank["truth"]

@@ -37,7 +37,7 @@ from tokscope import (
     leave_one_tokenizer_out,
     predict_pair,
 )
-from tokscope import predictor
+from tokscope import predictor, stats
 from tokscope.predictor import (
     GAMMA_GRID,
     REGULARIZATION_GRID,
@@ -342,7 +342,7 @@ class TestFitLogistic:
             method="trust-exact", options={"gtol": 1e-12},
         )
         theta = np.append(b, w)
-        assert np.linalg.norm(gradient(theta)) <= 2 * predictor.NEWTON_GRAD_TOL
+        assert np.linalg.norm(gradient(theta)) <= 2 * stats.NEWTON_GRAD_TOL
         # trust-exact can stop on a rounding-limited step a little short
         # of the optimum, so its own gradient is held to a looser bound,
         # and where the problem is ill-conditioned a small gradient still
@@ -691,6 +691,55 @@ class TestFitPlatt:
         assert np.isfinite(a) and np.isfinite(b)
         p = 1.0 / (1.0 + np.exp(-(a * 3.0 + b)))
         assert 0.5 < p < 1.0  # smoothed targets keep it off the boundary
+
+    def test_step_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(stats, "NEWTON_MAX_STEPS", 1)
+        with pytest.warns(RuntimeWarning, match="Platt scaling did not converge in 1 Newton"):
+            fit_platt(np.array([3.0, 1.0, 0.5, -2.0]), np.array([1, 0, 1, 0]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        data=st.lists(
+            st.tuples(st.floats(-5.0, 5.0), st.booleans()), min_size=2, max_size=40
+        ),
+        scale=st.sampled_from((0.1, 1.0, 10.0)),
+    )
+    # Small decisions that separate the labels: the slope is large and the
+    # Hessian's small eigenvalue is about 0.003.
+    @hypothesis.example(
+        data=[(-0.3, True), (-0.1, True), (0.0, False), (0.2, False), (0.4, False)], scale=0.1
+    )
+    def test_matches_scipy(self, data, scale):
+        decisions = scale * np.array([d for d, _ in data])
+        labels = np.array([lab for _, lab in data], dtype=np.float64)
+        # With one distinct decision only A*d + B is determined, not (A, B).
+        hypothesis.assume(np.ptp(decisions) >= 0.1 * scale)
+        a, b = fit_platt(decisions, labels)
+
+        n_pos = labels.sum()
+        n_neg = len(labels) - n_pos
+        target = np.where(labels > 0, (n_pos + 1) / (n_pos + 2), 1 / (n_neg + 2))
+        D = np.column_stack([decisions, np.ones(len(decisions))])
+
+        def cross_entropy(ab):
+            z = D @ ab
+            return float(np.sum(np.logaddexp(0.0, z) - target * z))
+
+        def gradient(ab):
+            return D.T @ (1.0 / (1.0 + np.exp(-(D @ ab))) - target)
+
+        def hessian(ab):
+            p = 1.0 / (1.0 + np.exp(-(D @ ab)))
+            return (D.T * (p * (1.0 - p))) @ D
+
+        result = optimize.minimize(
+            cross_entropy, np.zeros(2), jac=gradient, hess=hessian,
+            method="trust-exact", options={"gtol": 1e-12},
+        )
+        reference = result.x
+        for _ in range(3):  # Newton steps polish a rounding-limited stop
+            reference = reference - np.linalg.solve(hessian(reference), gradient(reference))
+        np.testing.assert_allclose([a, b], reference, rtol=0.0, atol=1e-6)
 
 
 class TestPredictPair:
