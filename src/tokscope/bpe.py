@@ -252,9 +252,9 @@ def _words(text: str) -> list[str] | None:
     matches, so taking it as the test of whitespace may leave a text off
     the word path, but never cuts one at a wrong place.
     """
-    words = text.split(" ")
-    if "" in words:
+    if not text or text[0] == " " or text[-1] == " " or "  " in text:
         return None
+    words = text.split(" ")
     # A printable text holds no whitespace but the space.
     if not text.isprintable() and any(w[0].isspace() or w[-1].isspace() for w in words):
         return None
@@ -263,7 +263,8 @@ def _words(text: str) -> list[str] | None:
 
 def _batches(texts: Iterable[str]) -> Iterator[tuple[int, list]]:
     """The position of each batch's first text, and each of its texts with
-    its words (None off the word path)."""
+    its words (None off the word path). The list is emptied and refilled
+    for the next batch, so only one batch is held at a time."""
     batch, chars, first = [], 0, 0
     for text in texts:
         batch.append((text, _words(text)))
@@ -271,7 +272,8 @@ def _batches(texts: Iterable[str]) -> Iterator[tuple[int, list]]:
         if chars >= BATCH_CHARS:
             yield first, batch
             first += len(batch)
-            batch, chars = [], 0
+            batch.clear()
+            chars = 0
     if batch:
         yield first, batch
 
@@ -348,9 +350,10 @@ def encode_lines(tokenizer: BpeTokenizer, texts: Iterable[str]) -> Iterator[str]
                 yield " ".join([firsts[text_words[0]], *map(words.__getitem__, text_words[1:])])
 
 
-def count_encoded(tokenizer: BpeTokenizer, texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of each distinct piece of the texts' encoding, and for each
-    id the count of its piece, for `zipf_metrics.count_blocks`.
+def count_encoded(tokenizer: BpeTokenizer, texts: Iterable[str]) -> np.ndarray:
+    """How often each vocabulary index occurs in the texts' encoding: an
+    int64 array of length len(tokenizer.ids), whose entry j counts the id
+    tokenizer.ids[j].
 
     Words are counted, and each piece of a distinct word counts as often
     as the word; so does each piece of a text off the word path. Memory
@@ -371,16 +374,17 @@ def count_encoded(tokenizer: BpeTokenizer, texts: Iterable[str]) -> tuple[np.nda
                 for unit in units[:on_path]]
         words.update(zip(new_words, held))
         firsts.update(zip(new_firsts, held[len(new_words):]))
-        texts_words = [w for _, w in batch if w]
-        counts[0].update(chain.from_iterable(w[1:] for w in texts_words))
-        counts[1].update(w[0] for w in texts_words)
+        counts[0].update(chain.from_iterable(w[1:] for _, w in batch if w))
+        counts[1].update(w[0] for _, w in batch if w)
         counts[2].update(chain.from_iterable(units[on_path:]))
     weights = np.zeros(len(pieces), dtype=np.int64)
     for memo, counted in zip((words, firsts, pieces), counts):
         held = list(map(memo.__getitem__, counted))
         at = np.fromiter(chain.from_iterable(held), dtype=np.int64)
         np.add.at(weights, at, np.repeat(list(counted.values()), list(map(len, held))))
-    return tokenizer.ids[np.concatenate(merged)], np.repeat(weights, np.concatenate(sizes))
+    by_index = np.zeros(len(tokenizer.ids), dtype=np.int64)
+    np.add.at(by_index, np.concatenate(merged), np.repeat(weights, np.concatenate(sizes)))
+    return by_index
 
 
 def decode(tokenizer: BpeTokenizer, tokens) -> str:

@@ -40,7 +40,6 @@ from .zipf_metrics import (
     METRIC_NAMES,
     MetricVector,
     TokenFrequencyTable,
-    count_blocks,
     count_token_file,
     metadata_block,
     metric_vector_from_dict,
@@ -137,7 +136,7 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
 
     The stream is either a token file, counted block by block, or a
     corpus whose distinct pieces are encoded once each and counted as
-    often as they occur.
+    often as they occur, by vocabulary index.
     """
     if config.tokens is not None:
         if config.vocab is not None or config.corpus is not None:
@@ -153,8 +152,11 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
     tokenizer = bpe.load_bpe(config.vocab, config.merges)
     docs = read_documents(config.corpus, config.corpus_format)
     with _naming_the_document(config):
-        ids, weights = bpe.count_encoded(tokenizer, (doc.text for doc in docs))
-    return count_blocks([ids], str(config.corpus), weights=[weights]), name
+        counts = bpe.count_encoded(tokenizer, (doc.text for doc in docs))
+    used = np.flatnonzero(counts)
+    if not len(used):
+        raise ValueError(f"{config.corpus}: cannot count frequencies of an empty stream")
+    return TokenFrequencyTable(tokenizer.ids[used], counts[used]), name
 
 
 @contextmanager

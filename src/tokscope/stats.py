@@ -96,7 +96,8 @@ def _var_s(x: np.ndarray, y: np.ndarray) -> float:
     )
 
 
-def _tau_b(x: np.ndarray, y: np.ndarray) -> float:
+def _tau_b(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Kendall's tau-b and the concordance statistic S it is made from."""
     iu, ju = np.triu_indices(len(x), k=1)
     sx = np.sign(x[iu] - x[ju])
     sy = np.sign(y[iu] - y[ju])
@@ -105,7 +106,7 @@ def _tau_b(x: np.ndarray, y: np.ndarray) -> float:
     denom = math.sqrt((n0 - _tie_term(x)) * (n0 - _tie_term(y)))
     if denom == 0.0:
         raise ValueError("undefined correlation: zero variance in a ranking")
-    return s / denom
+    return s / denom, s
 
 
 def _permutation_matrix(values: np.ndarray) -> np.ndarray:
@@ -179,12 +180,10 @@ def kendall(x, y, alternative: str = "two-sided") -> CorrelationResult:
     """
     xv, yv = _as_pair(x, y, min_n=3)
     n = len(xv)
-    tau = _tau_b(xv, yv)
+    tau, s = _tau_b(xv, yv)
     if n <= EXACT_PERMUTATION_MAX_N:
         p = _perm_pvalue(_kendall_null(xv, yv), tau, alternative)
     else:
-        iu, ju = np.triu_indices(n, k=1)
-        s = float(np.sign(xv[iu] - xv[ju]) @ np.sign(yv[iu] - yv[ju]))
         z = s / math.sqrt(_var_s(xv, yv))
         if alternative == "two-sided":
             p = math.erfc(abs(z) / math.sqrt(2.0))

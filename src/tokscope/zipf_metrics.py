@@ -17,13 +17,13 @@ on a uniform resampling of the piecewise-linear curve, which makes it
 invariant to how the original ranks happen to be spaced.
 
 All five depend on a stream only through its count table, two int64
-arrays of sorted distinct ids and their counts. `count_blocks` is the one
-counting path: `count_token_file` feeds it a file block by block,
-`count_frequencies` an in-memory stream as one block, and `metrics
---corpus` each distinct BPE piece's ids, weighted by the piece's count.
-It counts into an array indexed by id while the ids are dense, and into
-a sorted table once they are not, so its memory is bounded by the
-vocabulary and one block either way.
+arrays of sorted distinct ids and their counts. `count_blocks` counts a
+stream of ids: `count_token_file` feeds it a file block by block and
+`count_frequencies` an in-memory stream as one block. It counts into an
+array indexed by id while the ids are dense, and into a sorted table
+once they are not, so its memory is bounded by the vocabulary and one
+block either way. `metrics --corpus` needs no stream: `bpe.count_encoded`
+counts each vocabulary index, and the table is its nonzero entries.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -128,75 +127,66 @@ def count_frequencies(seq: TokenSequence) -> TokenFrequencyTable:
     return count_blocks([seq.tokens], "token stream")
 
 
-def count_blocks(blocks: Iterable[np.ndarray], source: str,
-                 weights: Iterable[np.ndarray] | None = None) -> TokenFrequencyTable:
+def count_blocks(blocks: Iterable[np.ndarray], source: str) -> TokenFrequencyTable:
     """Count a stream given as consecutive blocks of ids.
 
     While the ids are dense, each block's counts are added in int64 to an
-    array indexed by id, in O(block) time. When a block holds a larger id
-    the array grows by at least half, to at most 2 x (distinct ids so
-    far) + 3 x (block length) ids, about the memory the sorted table
-    below and `np.unique` of that block would take. A block that would
-    break that bound (an id of 2**62, say) moves the nonzero counts into
-    the sorted table.
-    There each block's `np.unique` counts are added in int64 to a
+    array indexed by id, in O(block) time. Before each block holding an
+    id the array lacks, the array grows to max(largest id + 1, 3/2 x its
+    length) ids, or is made anew from the sorted table below, while that
+    is at most 2 x (distinct ids so far) + 3 x (block length): about the
+    memory the sorted table and `np.unique` of that block would take.
+    Otherwise (an id of 2**62, say) the counts are held in the sorted
+    table. There each block's `np.unique` counts are added in int64 to a
     running sorted (ids, counts) table. Ids the table lacks wait in a
     list, which is sorted into the table once it holds more entries than
     the table does, so a vocabulary that keeps growing does not cost a
-    copy per block. The counts move back into an array as soon as the
-    largest id so far keeps the array's bound, with the ids in the table
-    as the distinct ones. Either way memory is O(largest block +
-    vocabulary) however long the stream is.
+    copy per block. Either way memory is O(largest block + vocabulary)
+    however long the stream is, and since each growth is by at least
+    half, the copies cost O(1) per id over the whole stream.
     `source` names the stream in the error raised when it holds no token.
-    `weights`, when given, holds an int64 array for each block: how many
-    times each of its ids counts.
     """
-    dense = np.zeros(0, dtype=np.int64)  # None while the ids are too sparse
-    ids = counts = None  # the sorted table, while there is no array
-    waiting, n_waiting = [], 0
-    for block, weight in zip(blocks, repeat(None) if weights is None else weights):
+    dense = np.zeros(0, dtype=np.int64)  # counts by id; empty while there is a table
+    ids = counts = None  # the sorted table, while the ids are too sparse for the array
+    waiting, n_waiting, top = [], 0, 0
+    for block in blocks:
         if not len(block):
             continue
-        if weight is not None and weight.min() <= 0:  # the array would drop its id
-            raise ValueError("counts must be positive")
         if block.min() < 0:
             raise ValueError("token ids must be non-negative")
-        if dense is None:
-            top = max(top, int(block.max()))
-            if top < 2 * len(ids) + 3 * len(block):  # the bound of `_cover`
-                dense = np.zeros(top + 1, dtype=np.int64)
-                dense[ids] = counts
-                for new_ids, new_counts in waiting:
-                    dense[new_ids] += new_counts
-                ids = counts = None
-                waiting, n_waiting = [], 0
-        if dense is not None:
-            grown = _cover(dense, block)
-            if grown is not None:
+        top = max(top, int(block.max()))
+        if top >= len(dense):  # always, while there is a table
+            size = max(top + 1, len(dense) * 3 // 2)
+            distinct = np.count_nonzero(dense) if ids is None else len(ids)
+            if size <= 2 * distinct + 3 * len(block):
+                grown = np.zeros(size, dtype=np.int64)
+                grown[: len(dense)] = dense
+                if ids is not None:
+                    grown[ids] = counts
+                    for new_ids, new_counts in waiting:
+                        grown[new_ids] += new_counts
+                    ids = counts = None
+                    waiting, n_waiting = [], 0
                 dense = grown
-                np.add.at(dense, block, 1 if weight is None else weight)
-                continue
-            ids = np.flatnonzero(dense)
-            counts = dense[ids]
-            dense = None
-            top = int(block.max())
-        if weight is None:
-            new_ids, new_counts = np.unique(block, return_counts=True)
+            elif ids is None:
+                ids = np.flatnonzero(dense)
+                counts = dense[ids]
+                dense = np.zeros(0, dtype=np.int64)
+        if ids is None:
+            np.add.at(dense, block, 1)
         else:
-            new_ids, inverse = np.unique(block, return_inverse=True)
-            new_counts = np.zeros(len(new_ids), dtype=np.int64)
-            np.add.at(new_counts, inverse, weight)
-        at = np.searchsorted(ids, new_ids)
-        seen = at < len(ids)
-        seen[seen] = ids[at[seen]] == new_ids[seen]
-        counts[at[seen]] += new_counts[seen]
-        if not seen.all():
-            waiting.append((new_ids[~seen], new_counts[~seen]))
-            n_waiting += len(waiting[-1][0])
-            if n_waiting > len(ids):
-                ids, counts = _add_new_ids(ids, counts, waiting)
-                waiting, n_waiting = [], 0
-    if dense is not None:
+            new_ids, new_counts = np.unique(block, return_counts=True)
+            at = np.searchsorted(ids, new_ids)
+            seen = at < len(ids)
+            seen[seen] = ids[at[seen]] == new_ids[seen]
+            counts[at[seen]] += new_counts[seen]
+            if not seen.all():
+                waiting.append((new_ids[~seen], new_counts[~seen]))
+                n_waiting += len(waiting[-1][0])
+                if n_waiting > len(ids):
+                    ids, counts = _add_new_ids(ids, counts, waiting)
+                    waiting, n_waiting = [], 0
+    if ids is None:
         ids = np.flatnonzero(dense)
         counts = dense[ids]
     if waiting:
@@ -204,24 +194,6 @@ def count_blocks(blocks: Iterable[np.ndarray], source: str,
     if not len(ids):
         raise ValueError(f"{source}: cannot count frequencies of an empty stream")
     return TokenFrequencyTable(ids, counts)
-
-
-def _cover(dense, block):
-    """`dense`, grown if need be to index every id of a non-empty `block`
-    of non-negative ids; None if that would break the bound `count_blocks`
-    keeps."""
-    top = int(block.max())
-    if top < len(dense):
-        return dense
-    # Each growth makes the array at least half as large again, so its
-    # copies and the recounts of distinct ids cost O(1) per id over the
-    # whole stream.
-    size = max(top + 1, len(dense) * 3 // 2)
-    if size > 2 * np.count_nonzero(dense) + 3 * len(block):
-        return None
-    grown = np.zeros(size, dtype=np.int64)
-    grown[: len(dense)] = dense
-    return grown
 
 
 def _add_new_ids(ids, counts, waiting):

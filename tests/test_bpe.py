@@ -434,6 +434,12 @@ def blank_joined_texts(draw):
     return "".join(parts)
 
 
+EACH_WORD_PATH_CALL = pytest.mark.parametrize("run", [
+    lambda tok, texts: sum(1 for _ in encode_lines(tok, texts)),
+    lambda tok, texts: bpe.count_encoded(tok, texts),
+], ids=["encode_lines", "count_encoded"])
+
+
 class TestWordPath:
     """Texts cut at their spaces encode like the texts pre-tokenized whole."""
 
@@ -462,13 +468,13 @@ class TestWordPath:
         encoded = [encode(tok, text).tokens.tolist() for text in texts]
         with mock.patch.object(bpe, "BATCH_CHARS", batch_chars):
             lines = list(encode_lines(tok, texts))
-            ids, weights = bpe.count_encoded(tok, texts)
+            counts = bpe.count_encoded(tok, texts)
         assert lines == [" ".join(map(str, e)) for e in encoded]
-        assert (weights > 0).all()
-        counted = Counter()
-        for token, weight in zip(ids.tolist(), weights.tolist()):
-            counted[token] += weight
-        assert counted == Counter(chain.from_iterable(encoded))
+        expected = np.zeros(len(tok.ids), dtype=np.int64)
+        for token, count in Counter(chain.from_iterable(encoded)).items():
+            expected[tok.ids.tolist().index(token)] = count
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, expected)
 
     def test_every_character_the_pattern_takes_for_whitespace_is_isspace(self):
         every = "".join(map(chr, range(sys.maxunicode + 1)))
@@ -476,10 +482,7 @@ class TestWordPath:
         assert len(blanks) > 20
         assert all(c.isspace() for c in blanks)
 
-    @pytest.mark.parametrize("run", [
-        lambda tok, texts: sum(1 for _ in encode_lines(tok, texts)),
-        lambda tok, texts: bpe.count_encoded(tok, texts),
-    ], ids=["encode_lines", "count_encoded"])
+    @EACH_WORD_PATH_CALL
     def test_memory_grows_with_distinct_words_not_repeats(self, trained_bpe, run):
         tok, _, _ = trained_bpe
 
@@ -498,3 +501,20 @@ class TestWordPath:
         few = peak(1_000, 500)
         assert peak(10_000, 500) < few + 100_000
         assert peak(1_000, 20_000) > few + 1_000_000
+
+    @EACH_WORD_PATH_CALL
+    def test_one_batch_is_held_at_a_time(self, trained_bpe, run):
+        tok, _, _ = trained_bpe
+        line = "the quick brown fox jumps over the lazy dogs"
+
+        def peak(n_batches):
+            n_texts = n_batches * (bpe.BATCH_CHARS // len(line) + 1)
+            tracemalloc.start()
+            try:
+                run(tok, (line for _ in range(n_texts)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Two batches held at once would take about twice the peak of one.
+        assert peak(6) < 1.25 * peak(1)

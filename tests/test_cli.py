@@ -244,6 +244,21 @@ class TestMetricsCommand:
         assert err == f"tokscope: error: {corpus} document {doc_id}: {SYMBOL_B_MISSING}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("corpus_format, text", [
+        ("plaintext-lines", "\n\n\n"),
+        ("jsonl", '{"id": "x1", "text": ""}\n{"id": "x2", "text": ""}\n'),
+    ])
+    def test_empty_corpus_fails_named(self, tmp_path, capsys, trained_bpe, corpus_format, text):
+        _, vocab_path, merges_path = trained_bpe
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(text, encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert cli("metrics", "--vocab", vocab_path, "--merges", merges_path, "--corpus", corpus,
+                   "--format", corpus_format, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"tokscope: error: {corpus}: cannot count frequencies of an empty stream\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["metrics", "export-curve"])
 @pytest.mark.parametrize(

@@ -146,23 +146,6 @@ class TestCountTokenFile:
         np.testing.assert_array_equal(table.counts, counts)
         assert table.total == len(stream)
 
-    @given(st.lists(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 10**15)), max_size=30),
-                    max_size=6))
-    def test_weighted_blocks_add_each_weight(self, blocks):
-        expected = {}
-        for block in blocks:
-            for token, weight in block:
-                expected[token] = expected.get(token, 0) + weight
-        arrays = [np.array([t for t, _ in b], dtype=np.int64) for b in blocks]
-        weights = [np.array([w for _, w in b], dtype=np.int64) for b in blocks]
-        if not expected:
-            with pytest.raises(ValueError, match="^s: cannot count"):
-                count_blocks(arrays, "s", weights=weights)
-            return
-        table = count_blocks(arrays, "s", weights=weights)
-        assert table.ids.tolist() == sorted(expected)
-        assert table.counts.tolist() == [expected[t] for t in sorted(expected)]
-
     def test_empty_stream_names_the_file(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("# header only\n\n", encoding="utf-8")
@@ -179,24 +162,23 @@ class TestCountTokenFile:
 
 
 HUGE = 2**62
-WEIGHTED_IDS = st.lists(st.tuples(st.integers(0, 60), st.integers(1, 10**15)), max_size=30)
+SMALL_IDS = st.lists(st.integers(0, 60), max_size=30)
 
 
 @st.composite
-def weighted_blocks(draw):
-    """Blocks of (id, weight) pairs, some empty, in one of three regimes:
-    dense ids throughout, an id of 2**62 or more in the first block, or
-    one in a late block after dense ones."""
+def regime_blocks(draw):
+    """Blocks of ids, some empty, in one of three regimes: dense ids
+    throughout, an id of 2**62 or more in the first block, or one in a
+    late block after dense ones."""
     top = draw(st.integers(0, 60))
-    blocks = draw(st.lists(WEIGHTED_IDS.map(lambda b: [(t % (top + 1), w) for t, w in b]),
+    blocks = draw(st.lists(SMALL_IDS.map(lambda b: [t % (top + 1) for t in b]),
                            min_size=1, max_size=8))
     regime = draw(st.sampled_from(["dense", "huge first", "huge late"]))
     if regime != "dense":
-        block = blocks[0] if regime == "huge first" else draw(WEIGHTED_IDS)
+        block = blocks[0] if regime == "huge first" else draw(SMALL_IDS)
         if regime == "huge late":
             blocks.append(block)
-        huge = (draw(st.integers(HUGE, 2**63 - 1)), draw(st.integers(1, 10**15)))
-        block.insert(draw(st.integers(0, len(block))), huge)
+        block.insert(draw(st.integers(0, len(block))), draw(st.integers(HUGE, 2**63 - 1)))
     return blocks
 
 
@@ -207,56 +189,37 @@ def sparse_then_dense_blocks(draw):
     top = draw(st.integers(30, 400))
     first = draw(st.lists(st.integers(0, top), min_size=1, max_size=top // 4))
     rest = draw(st.lists(st.lists(st.integers(0, top), max_size=60), min_size=1, max_size=10))
-    weight = st.integers(1, 10**12)
-    return [[(t, draw(weight)) for t in b] for b in [[*first, top], *rest]]
+    return [[*first, top], *rest]
 
 
 class TestCountBlocks:
     """Counting by id while ids are dense, and by sorted table after."""
 
-    @given(weighted_blocks())
-    @example([[(0, 3), (2, 1), (1, 5), (2, 2)], [], [(5, 1), (0, 2), (5, 7)], [],
-              [(9, 4), (3, 1), (9, 1), (8, 2)], [(1, 1)]])  # dense, growing twice
-    @example([[(3, 2), (HUGE + 7, 5), (3, 1)], [], [(1, 4), (HUGE + 7, 1)], [(2**63 - 1, 3)]])
-    @example([[(0, 1), (4, 2), (2, 3), (4, 1)], [], [(1, 1), (3, 2)], [],
-              [(2, 5), (HUGE, 1), (4, 1), (60, 2)], [(HUGE, 2), (0, 1), (7, 3)]])
+    @given(regime_blocks())
+    @example([[0, 2, 1, 2], [], [5, 0, 5], [], [9, 3, 9, 8], [1]])  # dense, growing twice
+    @example([[3, HUGE + 7, 3], [], [1, HUGE + 7], [2**63 - 1]])
+    @example([[0, 4, 2, 4], [], [1, 3], [], [2, HUGE, 4, 60], [HUGE, 0, 7]])
     def test_matches_unique_and_counter_of_the_stream(self, blocks):
-        stream = np.array([t for block in blocks for t, _ in block], dtype=np.int64)
-        arrays = [np.array([t for t, _ in b], dtype=np.int64) for b in blocks]
-        weights = [np.array([w for _, w in b], dtype=np.int64) for b in blocks]
+        stream = np.array([t for block in blocks for t in block], dtype=np.int64)
+        arrays = [np.array(b, dtype=np.int64) for b in blocks]
         if not len(stream):
-            for w in (None, weights):
-                with pytest.raises(ValueError, match="^s: cannot count"):
-                    count_blocks(arrays, "s", weights=w)
+            with pytest.raises(ValueError, match="^s: cannot count"):
+                count_blocks(arrays, "s")
             return
         table = count_blocks(arrays, "s")
         ids, counts = np.unique(stream, return_counts=True)
         np.testing.assert_array_equal(table.ids, ids)
         np.testing.assert_array_equal(table.counts, counts)
-        expected = Counter()
-        for block in blocks:
-            for token, weight in block:
-                expected[token] += weight
-        table = count_blocks(arrays, "s", weights=weights)
-        assert table.ids.tolist() == sorted(expected)
-        assert table.counts.tolist() == [expected[t] for t in sorted(expected)]
 
     @given(sparse_then_dense_blocks())
-    @example([[(0, 1), (99, 2)], [(1, 1)] * 10, [(t, 3) for t in range(0, 100, 2)],
-              [(t, 1) for t in range(100)], [(5, 4), (120, 1)]])  # back to the array, grown
+    @example([[0, 99], [1] * 10, list(range(0, 100, 2)), list(range(100)),
+              [5, 120]])  # back to the array, grown
     def test_sparse_first_block_then_dense_matches_counter(self, blocks):
-        arrays = [np.array([t for t, _ in b], dtype=np.int64) for b in blocks]
-        weights = [np.array([w for _, w in b], dtype=np.int64) for b in blocks]
-        expected = Counter(t for block in blocks for t, _ in block)
+        arrays = [np.array(b, dtype=np.int64) for b in blocks]
+        expected = Counter(t for block in blocks for t in block)
         table = count_blocks(arrays, "s")
         assert table.ids.tolist() == sorted(expected)
         assert table.counts.tolist() == [expected[t] for t in sorted(expected)]
-        weighted = Counter()
-        for block in blocks:
-            for token, weight in block:
-                weighted[token] += weight
-        table = count_blocks(arrays, "s", weights=weights)
-        assert table.counts.tolist() == [weighted[t] for t in sorted(weighted)]
 
     def test_dense_stream_with_a_sparse_first_block_returns_to_the_array(self):
         # Like gen-zipf with more types than a block holds: every id below
@@ -302,11 +265,6 @@ class TestCountBlocks:
     def test_negative_id_rejected(self, blocks):
         with pytest.raises(ValueError, match="token ids must be non-negative"):
             count_blocks([np.array(b, dtype=np.int64) for b in blocks], "s")
-
-    @pytest.mark.parametrize("ids", [[1, 2], [1, HUGE]])
-    def test_weight_below_one_rejected(self, ids):
-        with pytest.raises(ValueError, match="counts must be positive"):
-            count_blocks([np.array(ids)], "s", weights=[np.array([1, 0])])
 
 
 class TestCurve:
