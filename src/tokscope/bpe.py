@@ -41,7 +41,7 @@ from types import MappingProxyType
 import numpy as np
 import regex
 
-from .corpus_io import TokenSequence, read_text
+from .corpus_io import _INT64_MAX, TokenSequence, _shown, read_text
 
 # Splits text into contractions, letter runs, digit runs, punctuation
 # runs, and whitespace, with a single optional leading space attached
@@ -139,6 +139,11 @@ def load_bpe(vocab_path, merges_path) -> BpeTokenizer:
         if type(token_id) is not int or token_id < 0:
             raise ValueError(
                 f"{vocab_path}: token {token!r} has invalid id {token_id!r}"
+            )
+        if token_id > _INT64_MAX:
+            raise ValueError(
+                f"{vocab_path}: token {token!r} has id {_shown(str(token_id))}, "
+                "which exceeds the int64 range"
             )
         if token_id in id_to_token:
             raise ValueError(

@@ -94,9 +94,15 @@ def generate_zipf_stream(
         raise ValueError("n_types must be at least 3")
     if not 0 <= exponent < math.inf:
         raise ValueError(f"exponent must be finite and non-negative, got {exponent}")
+    if n_tokens < 1:
+        raise ValueError(f"n_tokens must be positive, got {n_tokens}")
     ranks = np.arange(1, n_types + 1, dtype=np.float64)
-    counts = np.rint(n_tokens / ranks**exponent).astype(np.int64)
-    if counts.min() <= 0:
+    # The tail count n_tokens / n_types^exponent is the least. Below 1/e it
+    # is zero for certain, and that is checked in logs first, before
+    # ranks**exponent can overflow.
+    if math.log(n_tokens) - exponent * math.log(n_types) < -1.0 or (
+        counts := np.rint(n_tokens / ranks**exponent).astype(np.int64)
+    ).min() <= 0:
         raise ValueError(
             "parameters yield a zero count at the tail; "
             "increase n_tokens or reduce n_types/exponent"
@@ -203,6 +209,10 @@ def _cmd_metrics(config: RunConfig) -> int:
         raise ValueError(f"--truncation-bound must be finite and at least ln 2, "
                          f"got {config.truncation_bound}")
     table, name = _count_tokenizer_inputs(config)
+    if len(table.ids) < 2:
+        source = config.tokens if config.tokens is not None else config.corpus
+        raise ValueError(f"{source}: the stream has one distinct token id; "
+                         "a rank-frequency line needs at least 2")
     mv = metric_vector_from_table(table, config.truncation_bound)
     payload = metric_vector_to_dict(
         mv,
@@ -377,6 +387,8 @@ def _cmd_rank(config: RunConfig) -> int:
 
 def _cmd_gen_zipf(config: RunConfig) -> int:
     _require(config, "out")
+    if config.n_tokens < 1:
+        raise ValueError(f"--n-tokens must be positive, got {config.n_tokens}")
     seq = generate_zipf_stream(
         config.n_tokens, config.n_types, config.exponent, config.seed
     )

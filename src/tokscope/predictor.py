@@ -10,8 +10,9 @@ deterministic optimizers so repeated runs are bit-identical:
   linear-svm   hinge loss + L2, dual coordinate descent
   rbf-svm      kernel SVM fit by SMO, probabilities via Platt scaling
 
-Logistic regression and Platt scaling both minimize through
-stats.newton_minimize, the Newton loop that also fits Bradley-Terry.
+Logistic regression and Platt scaling are both fits of
+stats.fit_logistic_newton, the logistic Newton fit that also fits
+Bradley-Terry; each builds only its design matrix and targets.
 
 Features are standardized on the training split; the standardization is
 stored in the model and applied by the decision function. One fit path,
@@ -40,7 +41,7 @@ from itertools import product
 import numpy as np
 
 from .corpus_io import DownstreamFixture
-from .stats import f1_score, newton_minimize
+from .stats import f1_score, fit_logistic_newton, sigmoid
 from .zipf_metrics import METRIC_NAMES
 
 MODEL_KINDS = ("logistic", "linear-svm", "rbf-svm")
@@ -109,16 +110,6 @@ class PairwiseProbabilities:
 
     names: tuple[str, ...]
     matrix: np.ndarray
-
-
-def _sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _standardization(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,34 +188,19 @@ def _select(X, y, splits, spec, fit_core):
 
 
 def _fit_logistic_core(X, y, lam):
-    """Newton's method (stats.newton_minimize) on the L2-penalized mean log loss.
+    """Logistic regression on [1, Z] by stats.fit_logistic_newton.
 
-    The intercept is not penalized. The minimizer's least-squares solve
-    matters here, because at lam = 0 a constant feature leaves the Hessian
-    singular. Separable data with lam = 0 has no optimum: the gradient
-    dies out while the step stays of order one as the weights grow, so
-    such a fit raises after NEWTON_MAX_STEPS.
+    The mean log loss plus (lam/2)||w||^2 has the minimizer of the summed
+    loss with ridge n * lam. The intercept is not penalized. At lam = 0 a
+    constant feature leaves the Hessian singular, which the fit's
+    least-squares solve handles. Separable data with lam = 0 has no
+    optimum: the gradient dies out while the step stays of order one as
+    the weights grow, so such a fit raises after NEWTON_MAX_STEPS.
     """
     mean, scale = _standardization(X)
     Z = (X - mean) / scale
-    n, d = Z.shape
-    A = np.column_stack([np.ones(n), Z])
-    penalty = np.full(d + 1, float(lam))
-    penalty[0] = 0.0
-    flip = 1.0 - 2.0 * y  # the loss of example k is softplus(flip[k] * A[k] @ theta)
-
-    def loss(theta):
-        t = flip * (A @ theta)
-        softplus = np.log1p(np.exp(-np.abs(t))) + np.maximum(t, 0.0)
-        return float(np.mean(softplus)) + 0.5 * lam * float(theta[1:] @ theta[1:])
-
-    def grad_hess(theta):
-        p = _sigmoid(A @ theta)
-        grad = A.T @ (p - y) / n
-        grad[1:] += lam * theta[1:]
-        return grad, (A.T * (p * (1.0 - p))) @ A / n + np.diag(penalty)
-
-    theta, _, steps, converged = newton_minimize(loss, grad_hess, np.zeros(d + 1))
+    A = np.column_stack([np.ones(len(Z)), Z])
+    theta, _, steps, converged = fit_logistic_newton(A, y, len(Z) * lam)
     if not converged:
         raise RuntimeError(
             f"logistic fit did not converge in {steps} Newton steps "
@@ -506,29 +482,20 @@ def _fit(kind, examples, cv_folds, fit_core, hyper, feature_names) -> PairwiseMo
 def fit_platt(decisions, labels) -> tuple[float, float]:
     """Fit (A, B) so that sigma(A*d + B) calibrates decision values d.
 
-    Newton's method (stats.newton_minimize) on the cross-entropy against
-    Platt's smoothed targets (N+ + 1)/(N+ + 2) and 1/(N- + 2), which keep
-    the optimum finite even when the decisions separate the labels. Warns
-    if the minimizer stops before it converges.
+    stats.fit_logistic_newton on the design [d, 1] against Platt's
+    smoothed targets (N+ + 1)/(N+ + 2) and 1/(N- + 2), which keep the
+    optimum finite even when the decisions separate the labels. Warns if
+    the fit stops before it converges.
     """
     d = np.asarray(decisions, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.float64) > 0.5
     prior1 = float(lab.sum())
     prior0 = float(len(lab) - prior1)
     t = np.where(lab, (prior1 + 1.0) / (prior1 + 2.0), 1.0 / (prior0 + 2.0))
-    D = np.column_stack([d, np.ones(len(d))])
-
-    def objective(ab):
-        z = D @ ab
-        # log(1 + exp(-|z|)) + max(z, 0) is the stable softplus of z.
-        return float(np.sum(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - t * z))
-
-    def grad_hess(ab):
-        p = _sigmoid(D @ ab)
-        return D.T @ (p - t), (D.T * (p * (1.0 - p))) @ D
-
     start = np.array([0.0, np.log((prior1 + 1.0) / (prior0 + 1.0))])
-    (a, b), _, steps, converged = newton_minimize(objective, grad_hess, start)
+    (a, b), _, steps, converged = fit_logistic_newton(
+        np.column_stack([d, np.ones(len(d))]), t, start=start
+    )
     if not converged:
         warnings.warn(
             f"Platt scaling did not converge in {steps} Newton steps", RuntimeWarning
@@ -557,11 +524,11 @@ def predict_pair(model: PairwiseModel, feature_diff) -> float:
     """Probability that the first tokenizer of the pair is the better one."""
     d = decision_value(model, feature_diff)
     if not _KINDS[model.kind].platt:
-        return float(_sigmoid(d))
+        return float(sigmoid(d))
     if model.platt is None:
         raise ValueError(f"{model.kind} model has no Platt calibration")
     a, b = model.platt
-    return float(_sigmoid(a * d + b))
+    return float(sigmoid(a * d + b))
 
 
 # --- dataset and evaluation protocols ------------------------------------

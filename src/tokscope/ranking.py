@@ -2,8 +2,9 @@
 
 Bradley-Terry strengths are fit on fractional win counts: each
 probability P[i, j] counts as a partial win of i over j and a partial
-loss of 1 - P[i, j]. The negative log-likelihood is convex in the
-log-strengths, and Newton's method (stats.newton_minimize) minimizes it.
+loss of 1 - P[i, j]. That likelihood is a logistic regression of P[i, j]
+on the row e_i - e_j of the log-strengths, one row per compared pair, and
+stats.fit_logistic_newton fits it.
 Strengths are geometric-mean normalized, so only their ratios are
 meaningful.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus_io import DownstreamFixture
-from .stats import CorrelationResult, kendall, newton_minimize
+from .stats import CorrelationResult, fit_logistic_newton, kendall
 
 PROB_FLOOR = 1e-6
 TIE_EPS = 1e-12
@@ -76,48 +77,29 @@ def fit_bradley_terry(prob_matrix: np.ndarray, names=None) -> BTRatings:
 
     # Connectivity of the comparison graph; a disconnected graph pins no
     # relative strength between components.
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in np.nonzero(present[i])[0]:
-            if j not in reached:
-                reached.add(int(j))
-                frontier.append(int(j))
-    if len(reached) < n:
-        missing = [names[i] for i in range(n) if i not in reached]
+    reached = np.arange(n) == 0
+    for _ in range(n - 1):
+        reached |= present[reached].any(axis=0)
+    if not reached.all():
+        missing = [names[i] for i in np.flatnonzero(~reached)]
         raise ValueError(f"comparison graph is disconnected; unreachable: {missing}")
 
-    wins = np.where(present, probs, 0.0)
-    clamped = np.clip(wins, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    if np.any((clamped != wins) & present):
+    clamped = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    if np.any((clamped != probs) & present):
         warnings.warn(
             f"win probabilities clamped to [{PROB_FLOOR}, {1 - PROB_FLOOR}]",
             RuntimeWarning,
             stacklevel=2,
         )
-    wins = np.where(present, clamped, 0.0)
 
-    def negative_log_likelihood(theta):
-        return float(np.sum(wins * np.logaddexp(0.0, theta[None, :] - theta[:, None])))
-
-    def grad_hess(theta):
-        # p[i, j] = sigma(theta_i - theta_j), the chance that i beats j.
-        p = np.exp(-np.logaddexp(0.0, theta[None, :] - theta[:, None]))
-        loss = wins * (1.0 - p)
-        # The Hessian is the Laplacian of the comparison graph weighted by
-        # (w_ij + w_ji) p_ij p_ji; its null space is the constant shift.
-        coupling = (wins + wins.T) * p * p.T
-        return (
-            loss.sum(axis=0) - loss.sum(axis=1),
-            np.diag(coupling.sum(axis=1)) - coupling,
-        )
-
-    # Every gradient sums to zero, and the least-squares Newton step is
-    # orthogonal to the constant shift, so theta keeps summing to zero.
-    theta, fval, steps, converged = newton_minimize(
-        negative_log_likelihood, grad_hess, np.zeros(n)
-    )
+    # One row e_i - e_j per compared pair i < j, with target P[i, j]. As
+    # clamping keeps P[i, j] + P[j, i] = 1, its cross-entropy is the
+    # fractional-win likelihood of both orders. D is rank-deficient along
+    # the constant shift, and the least-squares Newton step is orthogonal
+    # to it, so theta keeps summing to zero.
+    rows, cols = np.nonzero(np.triu(present))
+    D = np.eye(n)[rows] - np.eye(n)[cols]
+    theta, fval, steps, converged = fit_logistic_newton(D, clamped[rows, cols])
     if not converged:
         warnings.warn(
             f"Bradley-Terry fit stopped after NEWTON_MAX_STEPS = {steps} Newton steps "

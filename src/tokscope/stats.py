@@ -1,6 +1,8 @@
 """Self-contained statistical kernel: OLS, Simpson quadrature, rank
-correlations with exact small-sample p-values, F1, and the Newton
-minimizer that fits logistic regression, Platt scaling and Bradley-Terry.
+correlations with exact small-sample p-values, F1, and one logistic
+Newton fit, fit_logistic_newton, which fits logistic regression, Platt
+scaling and Bradley-Terry: each of them only builds a design matrix and
+targets.
 
 Everything here is deterministic double-precision arithmetic. The rank
 correlations use mid-ranks (Spearman) and tie-corrected tau-b (Kendall),
@@ -23,7 +25,7 @@ EXACT_PERMUTATION_MAX_N = 8
 # that permutations achieving the observed value are always counted.
 _PERM_EPS = 1e-12
 
-# newton_minimize stops when both the gradient and the Newton step are
+# fit_logistic_newton stops when both the gradient and the Newton step are
 # this small, or gives up after NEWTON_MAX_STEPS steps.
 NEWTON_MAX_STEPS = 100
 NEWTON_GRAD_TOL = 1e-8
@@ -246,33 +248,63 @@ def f1_score(predicted, actual) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def newton_minimize(f, grad_hess, x0):
-    """Minimize a smooth convex f by Newton's method from x0.
+def sigmoid(z):
+    """The logistic function 1 / (1 + exp(-z)), elementwise, without overflow."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
-    grad_hess(x) returns the gradient and Hessian of f at x. Each Newton
-    system is solved by least squares, so a singular Hessian gives the
-    minimum-norm step, which is orthogonal to the Hessian's null space. A
-    step that raises f beyond rounding is halved, down to a factor of
-    1e-10. The minimizer has converged when both the gradient and the
-    Newton step are small. Returns (x, f(x), steps, converged).
+
+def fit_logistic_newton(D, targets, lam: float = 0.0, start=None):
+    """Fit sigma(D @ theta) to targets in [0, 1] by Newton's method.
+
+    Minimizes the summed cross-entropy, softplus(z) - t * z summed over
+    z = D @ theta, plus (lam/2)||theta[1:]||^2: the first coefficient,
+    the intercept where D's first column is ones, is not penalized. The
+    gradient is D^T (sigma(z) - t) and the Hessian D^T diag(sigma(z)
+    (1 - sigma(z))) D, each plus the penalty's. Each Newton system is
+    solved by least squares, so a singular Hessian (a rank-deficient D at
+    lam = 0) gives the minimum-norm step, which is orthogonal to the
+    Hessian's null space. A step that raises the loss beyond rounding is
+    halved, down to a factor of 1e-10. The fit has converged when both
+    the gradient and the Newton step are small. Starts from start, or
+    from zero. Returns (theta, loss at theta, steps, converged).
     """
-    x, fval = x0, f(x0)
+    D = np.asarray(D, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    penalty = np.full(D.shape[1], float(lam))
+    penalty[0] = 0.0
+
+    def loss(theta):
+        z = D @ theta
+        # log(1 + exp(-|z|)) + max(z, 0) is the stable softplus of z.
+        softplus = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
+        return float(np.sum(softplus - t * z)) + 0.5 * float(theta @ (penalty * theta))
+
+    theta = np.zeros(D.shape[1]) if start is None else np.asarray(start, dtype=np.float64)
+    fval = loss(theta)
     for steps in range(NEWTON_MAX_STEPS):
-        grad, hess = grad_hess(x)
+        p = sigmoid(D @ theta)
+        grad = D.T @ (p - t) + penalty * theta
+        hess = (D.T * (p * (1.0 - p))) @ D + np.diag(penalty)
         step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         if (
             np.linalg.norm(grad) <= NEWTON_GRAD_TOL
             and np.linalg.norm(step) <= NEWTON_STEP_TOL
         ):
-            return x, fval, steps, True
+            return theta, fval, steps, True
         shrink = 1.0
-        new_x = x - step
-        new_fval = f(new_x)
+        new_theta = theta - step
+        new_fval = loss(new_theta)
         # A rise within rounding is no overshoot; halving on it would
         # only stall a fit that is next to its optimum.
         while new_fval > fval + 1e-12 * fval and shrink > 1e-10:
             shrink /= 2.0
-            new_x = x - shrink * step
-            new_fval = f(new_x)
-        x, fval = new_x, new_fval
-    return x, fval, NEWTON_MAX_STEPS, False
+            new_theta = theta - shrink * step
+            new_fval = loss(new_theta)
+        theta, fval = new_theta, new_fval
+    return theta, fval, NEWTON_MAX_STEPS, False

@@ -90,6 +90,15 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match="invalid id"):
             load_bpe(vocab_path, merges_path)
 
+    def test_id_beyond_int64_rejected(self, tmp_path):
+        largest = 2**63 - 1
+        vocab_path, merges_path = write_pair(tmp_path, {"a": 0, "b": largest}, [])
+        assert load_bpe(vocab_path, merges_path).ids.tolist() == [0, largest]
+        vocab_path, merges_path = write_pair(tmp_path, {"a": 0, "b": largest + 1}, [])
+        with pytest.raises(ValueError, match=f"token 'b' has id {largest + 1}, "
+                                             "which exceeds the int64 range"):
+            load_bpe(vocab_path, merges_path)
+
     def test_malformed_vocab_json(self, tmp_path):
         vocab_path = tmp_path / "vocab.json"
         vocab_path.write_text("{not json", encoding="utf-8")

@@ -83,6 +83,8 @@ FAILURES_ACROSS_BATCHES = [
         ("metrics", "--truncation-bound", "0.5"),
         ("metrics", "--truncation-bound", "abc"),
         ("gen-zipf", "--exponent", "nan"),
+        ("gen-zipf", "--exponent", "1e308"),
+        ("gen-zipf", "--n-tokens", "-5"),
     ],
 )
 def test_bad_numeric_flag_fails_with_its_name(tmp_path, command, flag, value):
@@ -258,6 +260,41 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert err == f"tokscope: error: {corpus}: cannot count frequencies of an empty stream\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["tokens", "corpus"])
+def test_one_distinct_id_fails_named(tmp_path, capsys, source):
+    vocab, merges = tmp_path / "v.json", tmp_path / "m.txt"
+    vocab.write_text('{"a": 0}', encoding="utf-8")
+    merges.write_text("", encoding="utf-8")
+    stream = tmp_path / "s.txt"
+    stream.write_text("7 7 7\n" if source == "tokens" else "aaa\n", encoding="utf-8")
+    inputs = (["--tokens", stream] if source == "tokens"
+              else ["--vocab", vocab, "--merges", merges, "--corpus", stream])
+    out = tmp_path / "m.json"
+    assert cli("metrics", *inputs, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"tokscope: error: {stream}: the stream has one distinct token id; "
+        "a rank-frequency line needs at least 2\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "metrics"])
+def test_vocab_id_beyond_int64_fails_named(tmp_path, capsys, command):
+    vocab, merges = tmp_path / "v.json", tmp_path / "m.txt"
+    vocab.write_text('{"a": 0, "b": 100000000000000000000000000000}', encoding="utf-8")
+    merges.write_text("", encoding="utf-8")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("ab\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli(command, "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+               "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"tokscope: error: {vocab}: token 'b' has id 100000000000000000000000000000, "
+        "which exceeds the int64 range\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["metrics", "export-curve"])

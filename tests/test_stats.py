@@ -1,4 +1,4 @@
-"""Statistical kernel: correlations, quadrature, OLS, F1."""
+"""Statistical kernel: correlations, quadrature, OLS, F1, the logistic Newton fit."""
 
 from __future__ import annotations
 
@@ -11,11 +11,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
+from scipy import optimize, special
 from scipy import stats as scipy_stats
 
+from tokscope import stats
 from tokscope.stats import (
     CorrelationResult,
     f1_score,
+    fit_logistic_newton,
     kendall,
     midranks,
     ols_fit,
@@ -414,3 +417,56 @@ class TestF1:
         if sum(actual) + sum(predicted) == 0:
             return
         assert 0.0 <= f1_score(predicted, actual) <= 1.0
+
+
+class TestFitLogisticNewton:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        d=st.integers(1, 5),
+        design=st.sampled_from(("dense", "intercept", "pairs")),
+        spread=st.sampled_from((0.1, 1.0, 10.0)),
+        lam=st.sampled_from((0.0, 0.01, 1.0, 100.0)),
+    )
+    # Bradley-Terry's design at lam = 0, where the constant shift is a
+    # null direction of the Hessian.
+    @example(seed=0, n=3, d=2, design="pairs", spread=1.0, lam=0.0)
+    def test_matches_scipy(self, seed, n, d, design, spread, lam):
+        rng = np.random.default_rng(seed)
+        if design == "pairs":
+            # Rows e_i - e_j over d + 1 items: each sums to zero, so D is
+            # rank-deficient.
+            i = rng.integers(0, d + 1, n)
+            j = (i + rng.integers(1, d + 1, n)) % (d + 1)
+            D = np.eye(d + 1)[i] - np.eye(d + 1)[j]
+        else:
+            D = spread * rng.normal(size=(n, d + 1))
+            if design == "intercept":
+                D[:, 0] = 1.0
+        # Fractional targets keep the optimum finite along every direction
+        # that D does not map to zero, even at lam = 0.
+        targets = rng.uniform(0.01, 0.99, n)
+        penalty = np.array([0.0] + [lam] * d)
+
+        def loss(theta):
+            z = D @ theta
+            return float(np.sum(np.logaddexp(0.0, z) - targets * z)
+                         + 0.5 * theta @ (penalty * theta))
+
+        def gradient(theta):
+            return D.T @ (special.expit(D @ theta) - targets) + penalty * theta
+
+        def hessian(theta):
+            p = special.expit(D @ theta)
+            return (D.T * (p * (1.0 - p))) @ D + np.diag(penalty)
+
+        theta, fval, steps, converged = fit_logistic_newton(D, targets, lam)
+        assert converged
+        assert np.linalg.norm(gradient(theta)) <= 2 * stats.NEWTON_GRAD_TOL
+        assert fval == pytest.approx(loss(theta), rel=1e-12, abs=1e-12)
+        result = optimize.minimize(
+            loss, np.zeros(d + 1), jac=gradient, hess=hessian,
+            method="trust-exact", options={"gtol": 1e-12},
+        )
+        assert loss(theta) == pytest.approx(result.fun, rel=1e-12, abs=1e-12)
