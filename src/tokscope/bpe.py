@@ -127,10 +127,11 @@ def _read_only(values) -> np.ndarray:
 
 def load_bpe(vocab_path, merges_path) -> BpeTokenizer:
     vocab_path, merges_path = Path(vocab_path), Path(merges_path)
+    text = read_text(vocab_path)
     try:
-        raw = json.loads(read_text(vocab_path))
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{vocab_path}: malformed JSON: {e.msg}") from e
+        raw = json.loads(text)
+    except ValueError as e:  # also an integer past int()'s digit limit
+        raise ValueError(f"{vocab_path}: malformed JSON: {getattr(e, 'msg', e)}") from e
     if not isinstance(raw, dict):
         raise ValueError(f"{vocab_path}: vocabulary must be a JSON object")
     id_to_token: dict[int, str] = {}

@@ -296,10 +296,11 @@ def load_metric_dir(path) -> dict[tuple[str, str], MetricVector]:
         raise ValueError(f"{path} is not a directory")
     metrics = {}
     for child in sorted(path.glob("*.json")):
+        text = read_text(child)
         try:
-            data = json.loads(read_text(child))
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{child}: malformed JSON: {e.msg}") from e
+            data = json.loads(text)
+        except ValueError as e:  # also an integer past int()'s digit limit
+            raise ValueError(f"{child}: malformed JSON: {getattr(e, 'msg', e)}") from e
         if not isinstance(data, dict):
             raise ValueError(f"{child}: record is not a JSON object")
         if "tokenizer" not in data or "language" not in data:
@@ -389,6 +390,8 @@ def _cmd_gen_zipf(config: RunConfig) -> int:
     _require(config, "out")
     if config.n_tokens < 1:
         raise ValueError(f"--n-tokens must be positive, got {config.n_tokens}")
+    if config.n_types < 3:
+        raise ValueError(f"--n-types must be at least 3, got {config.n_types}")
     seq = generate_zipf_stream(
         config.n_tokens, config.n_types, config.exponent, config.seed
     )
@@ -508,6 +511,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError(
                 f"{SEED_ENV_VAR} must be an integer, got {os.environ[SEED_ENV_VAR]!r}"
             ) from None
+    if config.seed < 0:
+        source = SEED_ENV_VAR if SEED_ENV_VAR in os.environ else "--seed"
+        raise ValueError(f"{source} must be non-negative, got {config.seed}")
     return config
 
 

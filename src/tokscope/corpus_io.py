@@ -52,6 +52,15 @@ _LINE_BREAKS = b"\n\r\v\f"
 _COMMENT_LINE = re.compile(rb"([\n\r\v\f])[ \t]*#[^\n\r\v\f]*")
 _INT64_MAX = np.iinfo(np.int64).max
 _MAX_DIGITS = len(str(_INT64_MAX))  # 19: wider values never fit in int64
+# 2**63 - 1 as its top 3 digits (922) and its low 16.
+_INT64_TOP, _INT64_LOW = map(np.uint64, divmod(int(_INT64_MAX), 10**16))
+# Whitespace put before a block: `_parse_block` reads no window that starts
+# more than 7 bytes before the first digit of its run.
+_PAD = b" " * 7
+# Entry w is 0x0F in each of the top w bytes of a 64-bit window, the bytes
+# of a run of w digits that ends the window; `_eight_digits` uses it.
+_DIGIT_MASKS = np.array(
+    [0x0F0F0F0F0F0F0F0F >> 8 * (8 - w) << 8 * (8 - w) for w in range(9)], dtype=np.uint64)
 _SHOWN_CHARS = 40  # error messages cut a longer entry to this many characters
 # Where the line open at a block cut stands.
 _BLANK, _CONTENT, _COMMENT = range(3)
@@ -167,8 +176,9 @@ def read_documents(path, format: str = "plaintext-lines") -> Iterator[Document]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path} line {lineno}: malformed JSON: {e.msg}") from e
+            except ValueError as e:  # also an integer past int()'s digit limit
+                raise ValueError(
+                    f"{path} line {lineno}: malformed JSON: {getattr(e, 'msg', e)}") from e
             if not isinstance(record, dict) or "text" not in record:
                 raise ValueError(f'{path} line {lineno}: record lacks a "text" field')
             text = record["text"]
@@ -291,37 +301,76 @@ def _strip_comments(head: bytes, state: int) -> tuple[bytes, int]:
 def _parse_block(head: bytes) -> np.ndarray | None:
     """The ids of a comment-free block, or None if any entry is malformed."""
     # With whitespace at both ends every digit run starts and ends inside
-    # the array, and the byte just left of each run has digit value 0.
-    raw = np.frombuffer(b" " + head + b" ", dtype=np.uint8)
-    digits = raw - np.uint8(ord("0"))  # wraps, so only "0".."9" fall below 10
-    is_digit = digits < 10
+    # the block, and `_PAD` keeps every window read below inside it too.
+    block = _PAD + head + b" "
+    raw = np.frombuffer(block, dtype=np.uint8)
+    is_digit = raw - np.uint8(ord("0")) < 10  # wraps, so only "0".."9" fall below 10
     # Whitespace is the space and bytes 9..13 (\t \n \v \f \r).
     if not (is_digit | (raw == ord(" ")) | (raw - np.uint8(9) < 5)).all():
         return None
-    digits *= is_digit
     # Each digit run is the bytes after `before` up to `last`.
     edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
     before, last = edges[0::2], edges[1::2]
     lengths = last - before
+    # Window i is bytes i..i+7 of the block read as one little-endian
+    # uint64, so byte i is its lowest. The window that ends at a run's last
+    # byte holds its last 8 digits, or all of a shorter run after the bytes
+    # before it; `_eight_digits` zeroes those and says why its steps are exact.
+    windows = np.ndarray((len(block) - 7,), dtype="<u8", buffer=block, strides=(1,))
+    values = _eight_digits(windows[last - 7], lengths)
     longest = int(lengths.max(initial=0))
-    # Sum over right-aligned digit columns; column k of a run shorter than
-    # k + 1 reads the whitespace before it. 19 digits always fit in uint64.
-    values = np.zeros(len(last), dtype=np.uint64)
-    at, column = np.empty_like(last), np.empty_like(values)
-    for k in range(min(longest, _MAX_DIGITS)):
-        np.maximum(np.subtract(last, k, out=at), before, out=at)
-        values += np.multiply(digits[at], np.uint64(10**k), out=column)
-    if longest >= _MAX_DIGITS:
-        if (values > np.uint64(_INT64_MAX)).any():
-            return None
-        if longest > _MAX_DIGITS:
-            # Leading zeros are allowed; any other digit left of the last
-            # 19 puts the id out of range.
-            nonzero = np.concatenate(([0], np.cumsum(digits > 0)))
-            wide = lengths > _MAX_DIGITS
-            if (nonzero[last[wide] + 1 - _MAX_DIGITS] > nonzero[before[wide] + 1]).any():
+    if longest > 8:
+        # The 8 digits before the last 8 count 10**8 times, and up to 3
+        # before those 10**16 times. Digits left of the last 19 are
+        # checked apart, below.
+        wide = np.flatnonzero(lengths > 8)
+        at, width = last[wide], np.minimum(lengths[wide], _MAX_DIGITS)
+        values[wide] += _eight_digits(windows[at - 15], width - 8) * np.uint64(10**8)
+        if longest > 16:
+            top = width > 16
+            wide, low = wide[top], values[wide[top]]
+            high = _eight_digits(windows[at[top] - 23], width[top] - 16)
+            # Compared with 2**63 - 1 by its top 3 and low 16 digits, so
+            # no out-of-range sum is formed.
+            if ((high > _INT64_TOP) | ((high == _INT64_TOP) & (low > _INT64_LOW))).any():
                 return None
+            values[wide] = low + high * np.uint64(10**16)
+    if longest > _MAX_DIGITS:
+        # Leading zeros are allowed; any other digit left of the last 19
+        # puts the id out of range.
+        nonzero = np.concatenate(([0], np.cumsum(is_digit & (raw != ord("0")))))
+        wide = lengths > _MAX_DIGITS
+        if (nonzero[last[wide] + 1 - _MAX_DIGITS] > nonzero[before[wide] + 1]).any():
+            return None
     return values.view(np.int64)  # every value is at most _INT64_MAX
+
+
+def _eight_digits(windows: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The values of the last min(width, 8) bytes of each window, which are
+    ASCII digits; `windows` is overwritten.
+
+    This is simdjson's SWAR parse. The AND with `_DIGIT_MASKS` zeroes the
+    bytes before the run and turns "0".."9" into 0..9: one digit a byte,
+    the first in the lowest byte. Multiplying by 10 * 2**8 + 1 adds ten
+    times each byte to the byte above it, `>> 8` moves those sums down,
+    and the mask keeps every other one, so each 16-bit lane holds the
+    value of two digits. Multiplying by 100 * 2**16 + 1 and by
+    10**4 * 2**32 + 1 joins lanes the same way into 4 and then 8 digits.
+    Each sum stays below its lane's limit (99 < 2**8, 9999 < 2**16,
+    10**8 - 1 < 2**32), so no carry crosses a lane, and the uint64
+    wrap-around drops only bits above the top lane. Every operand is
+    uint64: numpy computes uint64 with int64 in float64, losing digits.
+    """
+    windows &= _DIGIT_MASKS.take(widths, mode="clip")
+    windows *= np.uint64(10 << 8 | 1)
+    windows >>= np.uint64(8)
+    windows &= np.uint64(0x00FF00FF00FF00FF)
+    windows *= np.uint64(100 << 16 | 1)
+    windows >>= np.uint64(16)
+    windows &= np.uint64(0x0000FFFF0000FFFF)
+    windows *= np.uint64(10_000 << 32 | 1)
+    windows >>= np.uint64(32)
+    return windows
 
 
 def _first_bad_entry(head: bytes, entries_before: int) -> str:

@@ -8,9 +8,11 @@ reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import importlib
 import importlib.metadata
+import io
 import json
 import math
 import os
@@ -18,12 +20,16 @@ import runpy
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tokscope
 from tokscope import (
@@ -36,6 +42,7 @@ from tokscope import (
     save_downstream_fixture,
     spearman,
 )
+from tokscope import corpus_io
 from tokscope.bpe import BATCH_CHARS
 from tokscope.cli import _build_parser, config_from_args, load_metric_dir
 
@@ -85,6 +92,10 @@ FAILURES_ACROSS_BATCHES = [
         ("gen-zipf", "--exponent", "nan"),
         ("gen-zipf", "--exponent", "1e308"),
         ("gen-zipf", "--n-tokens", "-5"),
+        ("gen-zipf", "--n-types", "0"),
+        ("gen-zipf", "--seed", "-1"),
+        ("predict", "--seed", "-3"),
+        ("rank", "--seed", "-1"),
     ],
 )
 def test_bad_numeric_flag_fails_with_its_name(tmp_path, command, flag, value):
@@ -316,6 +327,52 @@ def test_bad_token_file_fails_located(tmp_path, capsys, command, content, messag
     assert not (tmp_path / "out").exists()
 
 
+# Pieces a valid token file is mutated with: digits, whitespace, bytes the
+# grammar rejects, ids at and past 2**63 - 1, and a run of 30 zeros.
+FUZZ_PIECES = [b"0", b"7", b"9", b" ", b"\t", b"\n", b"\r\n", b"#", b"-", b"+", b"\x00",
+               b"\xff", b"9223372036854775807", b"9223372036854775808",
+               b"18446744073709551616", b"0" * 30]
+FUZZ_SEED_FILE = b"# a header\n3 1 4 1 5 9 2 6\n5 3 5 8\t9 7\n"
+
+
+@st.composite
+def mutated_token_files(draw):
+    data = bytearray(FUZZ_SEED_FILE)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        piece = draw(st.sampled_from(FUZZ_PIECES))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            data[at:at] = piece
+        elif edit == "replace":
+            data[at : at + len(piece)] = piece
+        else:
+            del data[at : at + draw(st.integers(1, 4))]
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=mutated_token_files(), command=st.sampled_from(["metrics", "export-curve"]),
+       block_bytes=st.sampled_from([4, 16, corpus_io.READ_BLOCK_BYTES]))
+def test_fuzzed_token_file_fails_cleanly(content, command, block_bytes):
+    # A token file either passes or fails with one located line and no output.
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(corpus_io, "READ_BLOCK_BYTES", block_bytes), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        stream, out = Path(d) / "s.txt", Path(d) / "out"
+        stream.write_bytes(content)
+        code = cli(command, "--tokens", stream, "--out", out)
+        written = out.exists()
+    assert code in (0, 1)
+    if code == 0:
+        assert written and not err.getvalue()
+    else:
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].endswith("\n")
+        assert lines[0].startswith(f"tokscope: error: {stream}")
+        assert not written
+
+
 class TestExportCurve:
     def test_header_and_log_columns(self, tmp_path):
         stream = tmp_path / "s.txt"
@@ -372,6 +429,41 @@ def test_file_error_names_the_file(tmp_path, capsys, trained_bpe, synth_cli_worl
     err = capsys.readouterr().err
     assert err.startswith("tokscope: error: ") and err.endswith("\n")
     assert str(culprit) in err and message in err
+    assert not out.exists()
+
+
+# An integer of more than int()'s 4,300-digit limit, in each JSON reader.
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int() digit limit")
+@pytest.mark.parametrize("reader", ["vocab", "jsonl corpus", "metric record"])
+def test_json_integer_past_the_digit_limit_is_malformed(
+        tmp_path, capsys, synth_cli_world, reader):
+    metrics_dir, fixture = synth_cli_world
+    huge = "1" + "0" * 5000
+    vocab, merges, corpus = tmp_path / "v.json", tmp_path / "m.txt", tmp_path / "c.jsonl"
+    vocab.write_text('{"a": 0, "b": 1}', encoding="utf-8")
+    merges.write_text("", encoding="utf-8")
+    corpus.write_text('{"text": "ab"}\n', encoding="utf-8")
+    record = metrics_dir / "zz.json"
+    culprit = {"vocab": f"{vocab}:", "jsonl corpus": f"{corpus} line 2:",
+               "metric record": f"{record}:"}[reader]
+    if reader == "vocab":
+        vocab.write_text(f'{{"a": 0, "b": {huge}}}', encoding="utf-8")
+    elif reader == "jsonl corpus":
+        with corpus.open("a", encoding="utf-8") as fh:
+            fh.write(f'{{"id": {huge}, "text": "a"}}\n')
+    else:
+        record.write_text(f'{{"tokenizer": "t", "language": "aa", "compression": {huge}}}',
+                          encoding="utf-8")
+    argv = (["predict", "--fixture", fixture, "--metrics-dir", metrics_dir]
+            if reader == "metric record"
+            else ["metrics", "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+                  "--format", "jsonl"])
+    out = tmp_path / "out"
+    assert cli(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tokscope: error: {culprit} malformed JSON: Exceeds the limit")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 
@@ -716,6 +808,15 @@ class TestSeedEnvironment:
                    "--out", tmp_path / "s.txt")
         assert code == 2
         assert "TOKSCOPE_SEED" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["gen-zipf", "predict", "rank"])
+    def test_negative_env_value(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("TOKSCOPE_SEED", "-1")
+        assert cli(command, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            "tokscope: error: TOKSCOPE_SEED must be non-negative, got -1\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestParserDefaults:

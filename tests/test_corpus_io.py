@@ -342,6 +342,57 @@ class TestTokenStreams:
         assert loaded.source_tokenizer == "t"
 
 
+# Runs at the edges of `_parse_block`'s 8-digit windows: one below and at
+# 10**k, the int64 edge, and a 1 after 7 to 23 leading zeros.
+WINDOW_EDGE_RUNS = (
+    [str(10**k + d) for k in (7, 8, 9, 15, 16, 17, 18) for d in (-1, 0)]
+    + [str(2**63 - 1), str(2**63)]
+    + ["0" * n + "1" for n in (7, 8, 15, 16, 23)]
+)
+
+
+@st.composite
+def digit_runs(draw):
+    """1 to 25 ASCII digits, often with leading zeros."""
+    length = draw(st.integers(1, 25))
+    zeros = draw(st.integers(0, length - 1))
+    rest = length - zeros
+    return "0" * zeros + draw(st.text("0123456789", min_size=rest, max_size=rest))
+
+
+def int_parse(runs: list[str]) -> list[int] | None:
+    """The ids of the runs by int(), or None if one is past 2**63 - 1."""
+    ids = [int(run) for run in runs]
+    return None if any(i > 2**63 - 1 for i in ids) else ids
+
+
+class TestParseBlock:
+    """`_parse_block`'s 8-digit windows against int()."""
+
+    @given(st.lists(st.tuples(digit_runs() | st.sampled_from(WINDOW_EDGE_RUNS),
+                              st.text(" \t\n\r\v\f", min_size=1, max_size=3)),
+                    min_size=1, max_size=12),
+           st.booleans())
+    def test_matches_int(self, runs, trailing):
+        # The first run starts at byte 0 of the block.
+        head = "".join(run + sep for run, sep in runs)
+        if not trailing:
+            head = head.rstrip()
+        got = corpus_io._parse_block(head.encode())
+        want = int_parse([run for run, _ in runs])
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == np.int64 and got.tolist() == want
+
+    @pytest.mark.parametrize("run", WINDOW_EDGE_RUNS)
+    @pytest.mark.parametrize("before", ["", "5 ", "1234567890123456789\t"])
+    def test_window_edges(self, run, before):
+        got = corpus_io._parse_block(f"{before}{run}".encode())
+        want = int_parse(before.split() + [run])
+        assert (got is None) if want is None else got.tolist() == want
+
+
 class TestDownstreamFixture:
     def test_bundled_shape(self):
         fx = load_bundled_fixture()
