@@ -130,7 +130,7 @@ def load_bpe(vocab_path, merges_path) -> BpeTokenizer:
     text = read_text(vocab_path)
     try:
         raw = json.loads(text)
-    except ValueError as e:  # also an integer past int()'s digit limit
+    except (ValueError, RecursionError) as e:  # digit limit, deep nesting
         raise ValueError(f"{vocab_path}: malformed JSON: {getattr(e, 'msg', e)}") from e
     if not isinstance(raw, dict):
         raise ValueError(f"{vocab_path}: vocabulary must be a JSON object")

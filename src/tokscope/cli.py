@@ -299,7 +299,7 @@ def load_metric_dir(path) -> dict[tuple[str, str], MetricVector]:
         text = read_text(child)
         try:
             data = json.loads(text)
-        except ValueError as e:  # also an integer past int()'s digit limit
+        except (ValueError, RecursionError) as e:  # digit limit, deep nesting
             raise ValueError(f"{child}: malformed JSON: {getattr(e, 'msg', e)}") from e
         if not isinstance(data, dict):
             raise ValueError(f"{child}: record is not a JSON object")

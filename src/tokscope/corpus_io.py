@@ -176,7 +176,7 @@ def read_documents(path, format: str = "plaintext-lines") -> Iterator[Document]:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError as e:  # also an integer past int()'s digit limit
+            except (ValueError, RecursionError) as e:  # digit limit, deep nesting
                 raise ValueError(
                     f"{path} line {lineno}: malformed JSON: {getattr(e, 'msg', e)}") from e
             if not isinstance(record, dict) or "text" not in record:

@@ -21,18 +21,16 @@ PairwiseModel fields that the kind's core fit fills, its hyperparameter
 names and grid candidates, its decision function, and whether Platt
 scaling applies. Hyperparameters are chosen by stratified k-fold CV on
 mean F1 of the labels decision > 0, with ties resolved toward stronger
-regularization. For the RBF SVM the search warm-starts SMO along the C
-grid: each fold fit starts from the dual solution of the same fold and
-gamma at the next smaller C. Warm fits only score candidates; every fit
-that reaches a model is cold. That is the final fit, and the fold fits
-whose out-of-fold decisions calibrate the SVMs' Platt scaling: the
-search's own fold fits at the chosen value where those were cold,
-refits from zero where they were warm. decision_value applies the same
-decision function to a fitted model.
+regularization; a hyperparameter the caller gives replaces its grid
+values. Every fit starts from zero. The search's fold fits at the chosen
+value give the out-of-fold decisions that calibrate the SVMs' Platt
+scaling. decision_value applies the same decision function to a fitted
+model.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -53,6 +51,9 @@ DCD_TOL = 1e-8
 DCD_MAX_SWEEPS = 100_000
 SMO_TOL = 1e-10
 SMO_MAX_STEPS = 200_000
+# Metric values past this magnitude are refused, so that the sums of
+# squares in the standardization stay far from overflow.
+METRIC_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,11 @@ class PairwiseProbabilities:
 
 
 def _standardization(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        scale = X.std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(scale).all()):
+        raise ValueError("features are too large to standardize")
     scale = np.where(scale == 0.0, 1.0, scale)
     return mean, scale
 
@@ -136,51 +140,26 @@ def _splits(y: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(held, np.setdiff1d(everything, held)) for held in _stratified_folds(y, k) if len(held)]
 
 
-def _fold_fits(X, y, splits, fit_core, args) -> list:
-    """(held-out indices, params) for each split, fit from zero on its training part."""
-    return [(held, fit_core(X[train], y[train], *args)) for held, train in splits]
-
-
 def _fold_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
     # An all-negative fold predicted all-negative counts as perfect.
     return f1_score(predicted, actual) if predicted.any() or actual.any() else 1.0
 
 
-def _select(X, y, splits, spec, fit_core):
-    """The candidate with the best CV mean F1, and its fold fits from zero.
+def _select(X, y, splits, candidates, decisions, fit_core):
+    """The candidate with the best CV mean F1, and its fold fits.
 
     Candidates are argument tuples for fit_core, given in tie-break
     order: only a strictly better score displaces an earlier one. A fold
     example is labelled positive where its decision is above zero.
-
-    For a kind with warm starts (rbf-svm) the candidates run C-major with
-    C ascending, and each fold fit starts from the dual solution of the
-    same fold and the same other hyperparameters at the next smaller C,
-    which is feasible for the larger box. The warm state lives in this
-    call only. Warm fits only score candidates: where the winner's fold
-    fits were warm-started they are refit from zero, so every fit that
-    reaches a model or its Platt scaling is cold.
     """
-    best_score, best, best_fits, best_warm = -np.inf, None, None, False
-    starts = {}  # (fold, hyperparameters but C) -> dual solution at the last C fitted
-    for args in spec.candidates:
-        fits, warm = [], False
-        for fold, (held, train) in enumerate(splits):
-            if spec.warm:
-                key = (fold, args[1:])
-                warm = key in starts
-                params = fit_core(X[train], y[train], *args, starts.get(key))
-                starts[key] = params[-1]
-            else:
-                params = fit_core(X[train], y[train], *args)
-            fits.append((held, params))
+    best_score, best, best_fits = -np.inf, None, None
+    for args in candidates:
+        fits = [(held, fit_core(X[train], y[train], *args)) for held, train in splits]
         score = float(np.mean(
-            [_fold_f1(spec.decisions(params, X[held]) > 0.0, y[held]) for held, params in fits]
+            [_fold_f1(decisions(params, X[held]) > 0.0, y[held]) for held, params in fits]
         ))
         if score > best_score:
-            best_score, best, best_fits, best_warm = score, args, fits, warm
-    if best_warm:
-        best_fits = _fold_fits(X, y, splits, fit_core, best)
+            best_score, best, best_fits = score, args, fits
     return best, best_fits
 
 
@@ -294,7 +273,7 @@ def _rbf_kernel(A, B, gamma):
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
-def _smo(K, sign, C, start=None):
+def _smo(K, sign, C):
     """Solve the C-SVM dual by sequential minimal optimization.
 
     Each working pair is chosen by second-order information (Fan, Chen
@@ -303,13 +282,6 @@ def _smo(K, sign, C, start=None):
     (yg_i - yg_j)^2 / (2 eta_ij); the first index wins ties. The loop
     stops when the violation gap falls below tolerance. Returns the dual
     coefficients and intercept.
-
-    The loop begins at alpha = 0 unless start gives a feasible dual
-    solution to begin from (0 <= start <= C, start @ sign = 0), such as
-    the solution at a smaller C for the same kernel: the gradient is then
-    Q @ start - 1 and the working sets follow from start. Only the CV
-    search of _select passes a start; every fit that reaches a model
-    begins at zero.
     """
     n = len(sign)
     Q = (sign[:, None] * sign[None, :]) * K
@@ -326,14 +298,9 @@ def _smo(K, sign, C, start=None):
         low = ((sign < 0) & (a < bound)) | ((sign > 0) & (a > 1e-12))
         return up, low
 
-    if start is None:
-        alpha = [0.0] * n  # scalar work is on Python floats, the same IEEE arithmetic
-        grad = -np.ones(n)  # gradient of the dual objective wrt alpha
-        up, low = working_sets(np.zeros(n))
-    else:
-        alpha = start.tolist()
-        grad = Q @ start - 1.0
-        up, low = working_sets(start)
+    alpha = [0.0] * n  # scalar work is on Python floats, the same IEEE arithmetic
+    grad = -np.ones(n)  # gradient of the dual objective wrt alpha
+    up, low = working_sets(np.zeros(n))
     for _ in range(SMO_MAX_STEPS):
         yg = neg_sign * grad
         i = int(np.where(up, yg, -np.inf).argmax())
@@ -387,23 +354,19 @@ def _smo(K, sign, C, start=None):
     return alpha, b
 
 
-def _fit_rbf_core(X, y, C, gamma, start=None):
-    """The RBF decision parameters, then the full dual solution.
-
-    The dual solution is what a warm start at a larger C on the same data
-    and gamma begins from; start is passed on to _smo.
-    """
+def _fit_rbf_core(X, y, C, gamma):
+    """The RBF decision parameters, in the order of _RBF_FIELDS."""
     mean, scale = _standardization(X)
     Z = (X - mean) / scale
     sign = np.where(y > 0.5, 1.0, -1.0)
     K = _rbf_kernel(Z, Z, gamma)
-    alpha, b = _smo(K, sign, C, start)
+    alpha, b = _smo(K, sign, C)
     keep = alpha > 1e-12
-    return mean, scale, Z[keep], (alpha * sign)[keep], b, gamma, alpha
+    return mean, scale, Z[keep], (alpha * sign)[keep], b, gamma
 
 
 def _rbf_decisions(params, X):
-    mean, scale, support, coef, b, gamma = params[:6]  # a core fit's tuple ends in alpha
+    mean, scale, support, coef, b, gamma = params
     return _rbf_kernel((X - mean) / scale, support, gamma) @ coef + b
 
 
@@ -430,9 +393,6 @@ class _Kind:
     candidates: tuple[tuple, ...]  # hyperparameter tuples in tie-break order
     decisions: Callable
     platt: bool
-    # The core fit takes a starting dual solution last and returns its
-    # dual solution last; _select then chains its fits along C.
-    warm: bool = False
 
 
 _LINEAR_FIELDS = ("feature_mean", "feature_scale", "beta0", "weights")
@@ -446,13 +406,24 @@ _KINDS = {
     "linear-svm": _Kind(_LINEAR_FIELDS, ("C",), tuple(product(_ASCENDING)),
                         _linear_decisions, platt=True),
     "rbf-svm": _Kind(_RBF_FIELDS, ("C", "gamma"), tuple(product(_ASCENDING, sorted(GAMMA_GRID))),
-                     _rbf_decisions, platt=True, warm=True),
+                     _rbf_decisions, platt=True),
 }
 
 
 def _fit(kind, examples, cv_folds, fit_core, hyper, feature_names) -> PairwiseModel:
-    """Fit one model kind; hyperparameters left as None are chosen by CV."""
+    """Fit one model kind; hyperparameters left as None are chosen by CV.
+
+    The CV candidates are the kind's grid with each given value in place
+    of its grid values, duplicates dropped, in tie-break order. CV runs
+    when there is more than one candidate, or to calibrate Platt scaling.
+    """
     spec = _KINDS[kind]
+    for name, value in zip(spec.hyperparameters, hyper):
+        if value is not None and not (
+            math.isfinite(value) and (value >= 0 if name == "lam" else value > 0)
+        ):
+            least = "non-negative" if name == "lam" else "positive"
+            raise ValueError(f"{name} must be finite and {least}, got {value!r}")
     if not examples:
         raise ValueError("no training examples")
     X = np.vstack([e.features for e in examples])
@@ -461,10 +432,15 @@ def _fit(kind, examples, cv_folds, fit_core, hyper, feature_names) -> PairwiseMo
     if min(n_pos, len(y) - n_pos) < 2:
         raise ValueError(f"need at least 2 examples per class, "
                          f"got {n_pos} positive / {len(y) - n_pos} negative")
-    if None in hyper:
-        hyper, fold_fits = _select(X, y, _splits(y, cv_folds), spec, fit_core)
-    elif spec.platt:
-        fold_fits = _fold_fits(X, y, _splits(y, cv_folds), fit_core, hyper)
+    candidates = tuple(dict.fromkeys(
+        tuple(grid if given is None else given for grid, given in zip(args, hyper))
+        for args in spec.candidates
+    ))
+    if len(candidates) > 1 or spec.platt:
+        splits = _splits(y, cv_folds)
+        hyper, fold_fits = _select(X, y, splits, candidates, spec.decisions, fit_core)
+    else:
+        (hyper,) = candidates
     params = fit_core(X, y, *hyper)
     platt = None
     if spec.platt:
@@ -551,11 +527,25 @@ def build_pairwise_dataset(
     The orientation of each pair is drawn from a seeded RNG so the
     dataset is balanced in expectation but contains no duplicate
     anti-correlated rows. Labels compare two-direction mean MetricX;
-    exact ties are refused.
+    exact ties are refused, and so are metric values past METRIC_LIMIT.
     """
     feature_set = tuple(feature_set)
     tokenizers = fixture.tokenizers()
     languages = fixture.languages()
+    vectors = {
+        key: metrics[key].as_features(feature_set)
+        for key in product(tokenizers, languages) if key in metrics
+    }
+    huge = [
+        f"{key} {name}={value:g}"
+        for key, vector in vectors.items()
+        for name, value in zip(feature_set, vector) if abs(value) > METRIC_LIMIT
+    ]
+    if huge:
+        raise ValueError(
+            f"metric values of magnitude above {METRIC_LIMIT:g} cannot be standardized: "
+            f"{'; '.join(huge)}"
+        )
     rng = np.random.default_rng(seed)
     examples = []
     for language in languages:
@@ -565,13 +555,9 @@ def build_pairwise_dataset(
                 if rng.random() < 0.5:
                     first, second = second, first
                 try:
-                    mv_first = metrics[(first, language)]
-                    mv_second = metrics[(second, language)]
+                    feats = vectors[(first, language)] - vectors[(second, language)]
                 except KeyError as e:
                     raise ValueError(f"missing metrics for {e.args[0]}") from None
-                feats = mv_first.as_features(feature_set) - mv_second.as_features(
-                    feature_set
-                )
                 mean_first = fixture.mean_metricx(first, scale, language)
                 mean_second = fixture.mean_metricx(second, scale, language)
                 if mean_first == mean_second:

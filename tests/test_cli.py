@@ -22,6 +22,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -465,6 +466,126 @@ def test_json_integer_past_the_digit_limit_is_malformed(
     assert err.startswith(f"tokscope: error: {culprit} malformed JSON: Exceeds the limit")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
+
+
+# JSON nested past the decoder's recursion limit, in each JSON reader.
+@pytest.mark.parametrize("reader", ["vocab", "jsonl corpus", "metric record"])
+def test_deeply_nested_json_is_malformed(tmp_path, capsys, synth_cli_world, reader):
+    metrics_dir, fixture = synth_cli_world
+    nested = "[" * 100_000 + "]" * 100_000
+    vocab, merges, corpus = tmp_path / "v.json", tmp_path / "m.txt", tmp_path / "c.jsonl"
+    record = metrics_dir / "zz.json"
+    vocab.write_text(nested if reader == "vocab" else '{"a": 0}', encoding="utf-8")
+    merges.write_text("", encoding="utf-8")
+    corpus.write_text('{"text": "a"}\n' + (nested if reader == "jsonl corpus" else ""),
+                      encoding="utf-8")
+    if reader == "metric record":
+        record.write_text(nested, encoding="utf-8")
+    culprit = {"vocab": f"{vocab}:", "jsonl corpus": f"{corpus} line 2:",
+               "metric record": f"{record}:"}[reader]
+    argv = (["predict", "--fixture", fixture, "--metrics-dir", metrics_dir]
+            if reader == "metric record"
+            else ["metrics", "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+                  "--format", "jsonl"])
+    out = tmp_path / "out"
+    assert cli(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tokscope: error: {culprit} malformed JSON: maximum recursion depth")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "rank"])
+def test_huge_metric_value_fails_named(tmp_path, capsys, synth_cli_world, command):
+    metrics_dir, fixture = synth_cli_world
+    for name, value in (("carol_bb", 1e300), ("alpha_aa", 1e308), ("bravo_aa", -1e308)):
+        record = metrics_dir / f"{name}.json"
+        data = json.loads(record.read_text(encoding="utf-8"))
+        record.write_text(json.dumps({**data, "auc": value}), encoding="utf-8")
+    heldout = ["--heldout-language", "cc"] if command == "rank" else []
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli(command, "--fixture", fixture, "--metrics-dir", metrics_dir,
+                   "--scale", SYNTH_SCALE, "--cv-folds", 2, *heldout, "--out", out)
+    assert code == 1 and not caught and not out.exists()
+    assert capsys.readouterr().err == (
+        "tokscope: error: metric values of magnitude above 1e+100 cannot be standardized: "
+        "('alpha', 'aa') auc=1e+308; ('bravo', 'aa') auc=-1e+308; ('carol', 'bb') auc=1e+300\n"
+    )
+
+
+# Values a metric record's field is set to: huge, tiny, negative, non-finite
+# and non-numeric ones, and nested arrays.
+FUZZ_VALUES = [1e300, -1e308, 1e99, 10**400, 2**63, 1e-320, 5e-324, -1e-300, -7, 0, -0.0,
+               float("inf"), float("-inf"), float("nan"), "abc", "", None, True, [], [[1.0]],
+               {"a": 1}]
+FUZZ_FIELDS = ["tokenizer", "language", *METRIC_NAMES]
+
+
+@st.composite
+def record_mutations(draw):
+    """(record index, kind, argument) edits, each of one record's JSON text."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["set", "delete", "duplicate", "truncate", "nest"]))
+        if kind in ("set", "duplicate"):
+            arg = (draw(st.sampled_from(FUZZ_FIELDS)), draw(st.sampled_from(FUZZ_VALUES)))
+        elif kind == "delete":
+            arg = draw(st.sampled_from(FUZZ_FIELDS))
+        else:
+            arg = draw(st.integers(0, 200) if kind == "truncate" else st.integers(1, 3))
+        edits.append((draw(st.integers(0, 23)), kind, arg))
+    return edits
+
+
+def mutate_record(text, kind, arg):
+    if kind == "truncate":
+        return text[:arg]
+    if kind == "nest":
+        return "[" * arg + text + "]" * arg
+    try:
+        data = json.loads(text)
+    except ValueError:  # truncated by an earlier edit
+        return text
+    if not isinstance(data, dict):  # nested by an earlier edit
+        return text
+    if kind == "set":
+        return json.dumps({**data, arg[0]: arg[1]})
+    if kind == "delete":
+        data.pop(arg, None)
+        return json.dumps(data)
+    # A duplicate key: the decoder keeps the last of two equal keys.
+    return text.rstrip()[:-1] + f", {json.dumps(arg[0])}: {json.dumps(arg[1])}}}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=record_mutations())
+def test_fuzzed_metric_records_fail_cleanly(edits):
+    # A metrics directory either predicts or fails with one error line and no output.
+    with tempfile.TemporaryDirectory() as d:
+        metrics_dir, fixture, out = Path(d) / "metrics", Path(d) / "scores.csv", Path(d) / "out"
+        write_metrics_dir(make_synthetic_metrics(), metrics_dir)
+        save_downstream_fixture(make_synthetic_fixture(), fixture)
+        records = sorted(metrics_dir.glob("*.json"))
+        for index, kind, arg in edits:
+            text = mutate_record(records[index].read_text(encoding="utf-8"), kind, arg)
+            records[index].write_text(text, encoding="utf-8")
+        with contextlib.redirect_stderr(io.StringIO()) as err, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli("predict", "--fixture", fixture, "--metrics-dir", metrics_dir,
+                       "--scale", SYNTH_SCALE, "--model", "logistic", "--cv-folds", 2,
+                       "--out", out)
+        written = out.exists()
+    assert code in (0, 1) and not caught
+    if code == 0:
+        assert written and not err.getvalue()
+    else:
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].endswith("\n")
+        assert lines[0].startswith("tokscope: error: ")
+        assert not written
 
 
 class TestEncode:

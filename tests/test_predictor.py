@@ -561,47 +561,45 @@ class TestRbfSvm:
         ),
         labels=st.lists(st.booleans(), min_size=40, max_size=40),
         gamma=st.sampled_from(GAMMA_GRID),
-        step=st.integers(0, len(REGULARIZATION_GRID) - 2),
+        C=st.sampled_from(REGULARIZATION_GRID),
     )
     @hypothesis.example(
-        points=_ILL_CONDITIONED_POINTS, labels=_ILL_CONDITIONED_LABELS,
-        gamma=0.01, step=3,
+        points=_ILL_CONDITIONED_POINTS, labels=_ILL_CONDITIONED_LABELS, gamma=0.01, C=10.0,
     )
-    def test_warm_start_reaches_the_qp_optimum(self, points, labels, gamma, step):
-        # The cold solution at C1 starts SMO at the next grid value C2, as
-        # the CV search does. Both solutions must be feasible and reach the
-        # dual optimum that SLSQP finds, polished by a second, tighter run
-        # from its own point; on random draws the two objectives agree to
-        # about 3e-10 relative, so 1e-8 relative is the stated tolerance.
+    @hypothesis.example(
+        points=_ILL_CONDITIONED_POINTS, labels=_ILL_CONDITIONED_LABELS, gamma=0.01, C=100.0,
+    )
+    def test_smo_reaches_the_qp_optimum(self, points, labels, gamma, C):
+        # The solution must be feasible and reach the dual optimum that
+        # SLSQP finds, polished by a second, tighter run from its own
+        # point; on random draws the two objectives agree to about 3e-10
+        # relative, so 1e-8 relative is the stated tolerance.
         n = len(points)
         sign = np.where(labels[:n], 1.0, -1.0)
         sign[:2] = (1.0, -1.0)
         K = _rbf_kernel(points, points, gamma)
         Q = (sign[:, None] * sign[None, :]) * K
-        C1, C2 = sorted(REGULARIZATION_GRID)[step:step + 2]
-        (cold, _), _ = _with_warnings(_smo, K, sign, C1)
-        (warm, _), _ = _with_warnings(_smo, K, sign, C2, cold)
+        (alpha, _), _ = _with_warnings(_smo, K, sign, C)
 
         def dual(a):
             return 0.5 * a @ Q @ a - a.sum()
 
-        for alpha, C in ((cold, C1), (warm, C2)):
-            # An update alpha[i] + delta_i may round past the box by an ulp of C.
-            assert alpha.min() >= -1e-12 * C and alpha.max() <= C * (1.0 + 1e-12)
-            assert abs(alpha @ sign) <= 1e-12 * C
-            problem = dict(
-                jac=lambda a: Q @ a - 1.0, bounds=[(0.0, C)] * n, method="SLSQP",
-                constraints=[{"type": "eq", "fun": lambda a: a @ sign,
-                              "jac": lambda a: sign}],
-            )
-            reference = optimize.minimize(
-                dual, np.zeros(n), options={"ftol": 1e-12, "maxiter": 1000}, **problem
-            ).x
-            reference = optimize.minimize(
-                dual, reference, options={"ftol": 1e-15, "maxiter": 1000}, **problem
-            ).x
-            optimum = dual(reference)
-            assert abs(dual(alpha) - optimum) <= 1e-8 * max(1.0, abs(optimum))
+        # An update alpha[i] + delta_i may round past the box by an ulp of C.
+        assert alpha.min() >= -1e-12 * C and alpha.max() <= C * (1.0 + 1e-12)
+        assert abs(alpha @ sign) <= 1e-12 * C
+        problem = dict(
+            jac=lambda a: Q @ a - 1.0, bounds=[(0.0, C)] * n, method="SLSQP",
+            constraints=[{"type": "eq", "fun": lambda a: a @ sign,
+                          "jac": lambda a: sign}],
+        )
+        reference = optimize.minimize(
+            dual, np.zeros(n), options={"ftol": 1e-12, "maxiter": 1000}, **problem
+        ).x
+        reference = optimize.minimize(
+            dual, reference, options={"ftol": 1e-15, "maxiter": 1000}, **problem
+        ).x
+        optimum = dual(reference)
+        assert abs(dual(alpha) - optimum) <= 1e-8 * max(1.0, abs(optimum))
 
     def test_requires_four_examples(self):
         with pytest.raises(ValueError, match="at least 4"):
@@ -619,6 +617,15 @@ class TestRbfSvm:
         model = fit_rbf_svm_platt(synth_dataset[:16])
         assert model.hyperparameters["C"] in REGULARIZATION_GRID
         assert model.hyperparameters["gamma"] in GAMMA_GRID
+
+    @pytest.mark.parametrize("given, searched, grid", [
+        ({"C": 0.01}, "gamma", GAMMA_GRID),
+        ({"gamma": 10.0}, "C", REGULARIZATION_GRID),
+    ], ids=["C", "gamma"])
+    def test_given_hyperparameter_is_kept(self, synth_dataset, given, searched, grid):
+        model = fit_rbf_svm_platt(synth_dataset, cv_folds=2, **given)
+        assert model.hyperparameters.items() >= given.items()
+        assert model.hyperparameters[searched] in grid
 
 
 class TestFoldReuse:
@@ -653,8 +660,7 @@ class TestFoldReuse:
     def test_rbf_svm_fits_each_fold_once(self, synth_dataset, monkeypatch):
         calls = self.count_fits(monkeypatch, "_fit_rbf_core")
         model = fit_rbf_svm_platt(synth_dataset, cv_folds=5, feature_names=METRIC_NAMES)
-        # The winner, C = 0.1, was warm-started, so its 5 folds are refit cold.
-        assert len(calls) == 5 * len(REGULARIZATION_GRID) * len(GAMMA_GRID) + 5 + 1
+        assert len(calls) == 5 * len(REGULARIZATION_GRID) * len(GAMMA_GRID) + 1
         calls.clear()
         explicit = fit_rbf_svm_platt(
             synth_dataset, cv_folds=5, C=model.hyperparameters["C"],
@@ -666,37 +672,30 @@ class TestFoldReuse:
         np.testing.assert_array_equal(explicit.dual_coefficients, model.dual_coefficients)
 
 
-class TestWarmStartedSelection:
-    """Warm starts only score CV candidates; the model is the cold selection's."""
+@pytest.mark.parametrize("fitter, given, name", [
+    (fit_logistic, {"lam": -1.0}, "lam"),
+    (fit_logistic, {"lam": float("nan")}, "lam"),
+    (fit_linear_svm, {"C": -1.0}, "C"),
+    (fit_linear_svm, {"C": 0.0}, "C"),
+    (fit_linear_svm, {"C": float("nan")}, "C"),
+    (fit_rbf_svm_platt, {"C": -1.0, "gamma": 1.0}, "C"),
+    (fit_rbf_svm_platt, {"gamma": float("inf")}, "gamma"),
+    (fit_rbf_svm_platt, {"C": 1.0, "gamma": 0.0}, "gamma"),
+], ids=["logistic-lam=-1", "logistic-lam=nan", "linear-C=-1", "linear-C=0", "linear-C=nan",
+        "rbf-C=-1", "rbf-gamma=inf", "rbf-gamma=0"])
+def test_bad_hyperparameter_rejected(synth_dataset, fitter, given, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+        fitter(synth_dataset, cv_folds=2, **given)
 
-    @pytest.mark.parametrize("cv_folds", (2, 5))
-    def test_matches_cold_selection(self, synth_dataset, monkeypatch, cv_folds):
-        trains = [
-            [e for e in synth_dataset if held not in (e.tok_i, e.tok_j)]
-            for held in SYNTH_TOKENIZERS
-        ]
-        core = predictor._fit_rbf_core
-        starts = []
 
-        def recording(X, y, C, gamma, start=None):
-            starts.append(start is not None)
-            return core(X, y, C, gamma, start)
-
-        def fit_all(fit_core):
-            monkeypatch.setattr(predictor, "_fit_rbf_core", fit_core)
-            return [
-                fit_rbf_svm_platt(train, cv_folds=cv_folds, feature_names=METRIC_NAMES)
-                for train in trains
-            ]
-
-        warm = fit_all(recording)
-        assert any(starts)
-        cold = fit_all(lambda X, y, C, gamma, start=None: core(X, y, C, gamma))
-        for w, c in zip(warm, cold):
-            assert w.hyperparameters == c.hyperparameters
-            np.testing.assert_array_equal(w.dual_coefficients, c.dual_coefficients)
-            assert w.beta0 == c.beta0
-            assert w.platt == c.platt
+@pytest.mark.parametrize("fitter", [fit_logistic, fit_linear_svm, fit_rbf_svm_platt])
+def test_features_too_large_to_standardize(fitter):
+    data = separable_1d()
+    data[0] = example([1e300], 1, i="p0", j="q")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too large to standardize"):
+            fitter(data, cv_folds=2)
 
 
 class TestFitPlatt:
