@@ -96,6 +96,10 @@ def generate_zipf_stream(
         raise ValueError(f"exponent must be finite and non-negative, got {exponent}")
     if n_tokens < 1:
         raise ValueError(f"n_tokens must be positive, got {n_tokens}")
+    # The head count is n_tokens itself; past 2^62 its float64 round trip
+    # could leave the int64 range.
+    if n_tokens > 2**62:
+        raise ValueError(f"n_tokens must be at most 2^62, got {n_tokens}")
     ranks = np.arange(1, n_types + 1, dtype=np.float64)
     # The tail count n_tokens / n_types^exponent is the least. Below 1/e it
     # is zero for certain, and that is checked in logs first, before
@@ -261,12 +265,18 @@ def _cmd_correlate(config: RunConfig) -> int:
                     f"non-numeric or non-finite value {row[col]!r} in column {col!r}"
                 )
             dest.append(value)
-    if config.method == "spearman":
-        result = spearman(xs, ys)
-    elif config.method == "kendall":
-        result = kendall(xs, ys)
-    else:
+    correlation = {"spearman": spearman, "kendall": kendall}.get(config.method)
+    if correlation is None:
         raise ValueError(f"unknown correlation method {config.method!r}")
+    for col, values in ((config.x_col, xs), (config.y_col, ys)):
+        if len(set(values)) == 1:
+            raise ValueError(
+                f"{config.csv_path}: undefined correlation: zero variance in column {col!r}"
+            )
+    try:
+        result = correlation(xs, ys)
+    except ValueError as e:
+        raise ValueError(f"{config.csv_path}: {e}") from None
     payload = {
         "command": "correlate",
         "method": config.method,

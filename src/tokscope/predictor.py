@@ -7,7 +7,7 @@ translation directions. Three model families are supported, all fit by
 deterministic optimizers so repeated runs are bit-identical:
 
   logistic     L2-regularized logistic regression, Newton's method
-  linear-svm   hinge loss + L2, dual coordinate descent
+  linear-svm   hinge loss + L2, SMO on the linear kernel
   rbf-svm      kernel SVM fit by SMO, probabilities via Platt scaling
 
 Logistic regression and Platt scaling are both fits of
@@ -47,8 +47,6 @@ MODEL_KINDS = ("logistic", "linear-svm", "rbf-svm")
 REGULARIZATION_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 GAMMA_GRID = (0.01, 0.1, 1.0, 10.0)
 
-DCD_TOL = 1e-8
-DCD_MAX_SWEEPS = 100_000
 SMO_TOL = 1e-10
 SMO_MAX_STEPS = 200_000
 # Metric values past this magnitude are refused, so that the sums of
@@ -202,48 +200,18 @@ def fit_logistic(
 
 
 def _fit_linear_svm_core(X, y, C):
-    """Dual coordinate descent on (1/2)||theta||^2 + (C/n) * sum of hinge.
+    """(1/2)||w||^2 + (C/n) * sum of hinge, with a free bias, by _smo.
 
-    The bias rides along as an augmented constant feature, so it shares
-    the L2 penalty; with standardized features the distortion is small.
-    Normalizing by the example count keeps the decision function
-    invariant under dataset duplication. The dual is a QP over the box
-    [0, C/n] with no equality constraint (Hsieh et al., ICML 2008). Each
-    sweep visits the coordinates in a fixed cyclic order, so refits are
-    bit-identical. Raises if the projected-gradient spread has not
-    reached tolerance within the sweep cap.
+    This is _smo on the linear kernel Z Z^T, libsvm's C-SVC with a linear
+    kernel; the support vectors collapse into the weights Z^T (alpha * y).
+    Normalizing the box by the example count keeps the decision function
+    invariant under dataset duplication.
     """
     mean, scale = _standardization(X)
     Z = (X - mean) / scale
-    n, d = Z.shape
-    A = np.column_stack([Z, np.ones(n)])
     sign = np.where(y > 0.5, 1.0, -1.0)
-    Q = (sign[:, None] * sign[None, :]) * (A @ A.T)
-    diag = np.diag(Q).tolist()  # >= 1 because of the constant feature
-    upper = C / n
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective, Q @ alpha - 1
-    for _ in range(DCD_MAX_SWEEPS):
-        # Projected gradient: zero where the box blocks the descent step.
-        # Zero also joins the spread, since without an equality constraint
-        # the optimum has every entry at zero, not merely all equal.
-        blocked = ((alpha <= 0.0) & (grad > 0.0)) | ((alpha >= upper) & (grad < 0.0))
-        pg = np.where(blocked, 0.0, grad)
-        if max(pg.max(), 0.0) - min(pg.min(), 0.0) <= DCD_TOL:
-            break
-        for i in range(n):
-            old = alpha[i]
-            new = min(max(old - grad[i] / diag[i], 0.0), upper)
-            if new != old:
-                alpha[i] = new
-                grad += Q[i] * (new - old)
-    else:
-        raise RuntimeError(
-            f"linear SVM fit did not converge in {DCD_MAX_SWEEPS} sweeps "
-            f"(C={C}); the data may be degenerate"
-        )
-    theta = A.T @ (alpha * sign)
-    return mean, scale, float(theta[d]), theta[:d]
+    alpha, b = _smo(Z @ Z.T, sign, C / len(Z))
+    return mean, scale, b, Z.T @ (alpha * sign)
 
 
 def _linear_decisions(params, X):
@@ -529,6 +497,8 @@ def build_pairwise_dataset(
     anti-correlated rows. Labels compare two-direction mean MetricX;
     exact ties are refused, and so are metric values past METRIC_LIMIT.
     """
+    if scale not in (scales := fixture.scales()):
+        raise ValueError(f"scale {scale!r} is not in the fixture (has {scales})")
     feature_set = tuple(feature_set)
     tokenizers = fixture.tokenizers()
     languages = fixture.languages()

@@ -180,7 +180,9 @@ def kendall(x, y, alternative: str = "two-sided") -> CorrelationResult:
     variance. `alternative` is "two-sided" or "greater" (one-sided,
     positive association).
     """
-    xv, yv = _as_pair(x, y, min_n=3)
+    # Every statistic here depends on order alone; ranks keep the pairwise
+    # differences finite where values near the float limit would overflow.
+    xv, yv = map(midranks, _as_pair(x, y, min_n=3))
     n = len(xv)
     tau, s = _tau_b(xv, yv)
     if n <= EXACT_PERMUTATION_MAX_N:

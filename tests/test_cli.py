@@ -29,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tokscope
@@ -147,6 +147,18 @@ class TestGenZipf:
         sa, sb = load_token_stream(a), load_token_stream(b)
         assert sa.tokens.tolist() != sb.tokens.tolist()
         assert Counter(sa.tokens.tolist()) == Counter(sb.tokens.tolist())
+
+    @pytest.mark.parametrize("n_tokens", [10**20, 2**63 - 1])
+    def test_n_tokens_past_int64_fails_named(self, tmp_path, capsys, n_tokens):
+        out = tmp_path / "stream.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli("gen-zipf", "--n-tokens", n_tokens, "--n-types", 50, "--out", out)
+        assert code == 1 and not caught
+        assert capsys.readouterr().err == (
+            f"tokscope: error: n_tokens must be at most 2^62, got {n_tokens}\n"
+        )
+        assert not out.exists()
 
     def test_generator_validation(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -337,11 +349,11 @@ FUZZ_SEED_FILE = b"# a header\n3 1 4 1 5 9 2 6\n5 3 5 8\t9 7\n"
 
 
 @st.composite
-def mutated_token_files(draw):
-    data = bytearray(FUZZ_SEED_FILE)
+def mutated_files(draw, seed=FUZZ_SEED_FILE, pieces=FUZZ_PIECES):
+    data = bytearray(seed)
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(data)))
-        piece = draw(st.sampled_from(FUZZ_PIECES))
+        piece = draw(st.sampled_from(pieces))
         edit = draw(st.sampled_from(["insert", "replace", "delete"]))
         if edit == "insert":
             data[at:at] = piece
@@ -353,7 +365,7 @@ def mutated_token_files(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(content=mutated_token_files(), command=st.sampled_from(["metrics", "export-curve"]),
+@given(content=mutated_files(), command=st.sampled_from(["metrics", "export-curve"]),
        block_bytes=st.sampled_from([4, 16, corpus_io.READ_BLOCK_BYTES]))
 def test_fuzzed_token_file_fails_cleanly(content, command, block_bytes):
     # A token file either passes or fails with one located line and no output.
@@ -809,6 +821,71 @@ class TestCorrelate:
         assert run(config) == 1
         assert "unknown correlation method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["spearman", "kendall"])
+    def test_header_only_csv_names_the_file(self, tmp_path, capsys, method):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("x,y\n", encoding="utf-8")
+        out = tmp_path / "corr.json"
+        assert cli("correlate", "--csv", csv_path, "--x-col", "x", "--y-col", "y",
+                   "--method", method, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"tokscope: error: {csv_path}: need at least 3 observations, got 0\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["spearman", "kendall"])
+    @pytest.mark.parametrize("rows, column", [
+        ([(1, 5), (2, 5), (3, 5)], "y"),
+        ([(4, 1), (4, 2), (4, 3), (4, 1)], "x"),
+    ], ids=["y", "x"])
+    def test_constant_column_names_file_and_column(self, tmp_path, capsys, method, rows, column):
+        csv_path = tmp_path / "data.csv"
+        self.write_csv(csv_path, rows)
+        out = tmp_path / "corr.json"
+        assert cli("correlate", "--csv", csv_path, "--x-col", "x", "--y-col", "y",
+                   "--method", method, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"tokscope: error: {csv_path}: undefined correlation: "
+            f"zero variance in column {column!r}\n"
+        )
+        assert not out.exists()
+
+
+# Pieces a valid correlate CSV is mutated with: separators, quotes, comment
+# marks, bytes that are not UTF-8, and values that are not finite, sit at the
+# edge of the float range or repeat.
+CSV_FUZZ_PIECES = [b"0", b"1", b"7", b",", b"\n", b"\r\n", b'"', b"#", b" ", b"x", b"y", b"-",
+                   b"\x00", b"\xff", b"nan", b"inf", b"-inf", b"1e308", b"-1e308", b"1e309",
+                   b"5e-324", b"\n1,1", b"\n2,2"]
+CSV_FUZZ_SEED = b"# a header\nx,y\n1,2\n2,1\n3,4\n4,3\n5,5\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=mutated_files(CSV_FUZZ_SEED, CSV_FUZZ_PIECES),
+       method=st.sampled_from(["spearman", "kendall"]))
+# Differences of values near the float limit overflow, which Kendall's tau
+# once reported as a numpy RuntimeWarning.
+@example(content=b"x,y\n1e308,1\n-1e308,2\n3,3\n", method="kendall")
+def test_fuzzed_correlate_csv_fails_cleanly(content, method):
+    # A CSV either correlates or fails with one line that names it, and no output.
+    with tempfile.TemporaryDirectory() as d, \
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        csv_path, out = Path(d) / "data.csv", Path(d) / "out"
+        csv_path.write_bytes(content)
+        code = cli("correlate", "--csv", csv_path, "--x-col", "x", "--y-col", "y",
+                   "--method", method, "--out", out)
+        written = out.exists()
+    assert code in (0, 1, 2) and not caught
+    if code == 0:
+        assert written and not err.getvalue()
+    else:
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].endswith("\n")
+        assert lines[0].startswith(f"tokscope: error: {csv_path}")
+        assert not written
+
 
 class TestPredictCommand:
     def test_end_to_end_on_synthetic_world(self, tmp_path, synth_cli_world):
@@ -833,6 +910,16 @@ class TestPredictCommand:
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["feature_set"] == ["compression", "slope"]
         assert data["mean_f1"] == 1.0
+
+    def test_unknown_scale_fails(self, tmp_path, synth_cli_world, capsys):
+        metrics_dir, fixture_path = synth_cli_world
+        out = tmp_path / "predict.json"
+        assert cli("predict", "--fixture", fixture_path, "--metrics-dir", metrics_dir,
+                   "--scale", "XX", "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"tokscope: error: scale 'XX' is not in the fixture (has [{SYNTH_SCALE!r}])\n"
+        )
+        assert not out.exists()
 
 
 class TestRankCommand:
@@ -864,6 +951,16 @@ class TestRankCommand:
         err = capsys.readouterr().err
         assert err.startswith("tokscope: error: language 'zz' is not in the fixture (has ")
         assert not (tmp_path / "rank.json").exists()
+
+    def test_unknown_scale_fails(self, tmp_path, synth_cli_world, capsys):
+        metrics_dir, fixture_path = synth_cli_world
+        out = tmp_path / "rank.json"
+        assert cli("rank", "--fixture", fixture_path, "--metrics-dir", metrics_dir,
+                   "--scale", "XX", "--heldout-language", "aa", "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"tokscope: error: scale 'XX' is not in the fixture (has [{SYNTH_SCALE!r}])\n"
+        )
+        assert not out.exists()
 
 
 class TestMetricDir:

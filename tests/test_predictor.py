@@ -1,9 +1,11 @@
 """Pairwise predictors: dataset construction, solvers, calibration.
 
 Solver oracles: the SMO dual is cross-checked against an SLSQP solve of
-the same QP plus the KKT conditions, and the scalar SMO loop against a
-copy of the earlier vectorized loop, bit for bit; the linear SVM's dual
-coordinate descent against an SLSQP solve of its box-constrained dual;
+the same QP, on RBF and linear kernels, plus the KKT conditions, and the
+scalar SMO loop against a copy of the earlier vectorized loop, bit for
+bit; the linear SVM, SMO on the linear kernel, by a zero duality gap:
+its free-bias primal at the fitted weights and bias against an SLSQP
+solve of the equality-constrained dual;
 logistic Newton fits against closed-form optima and against a trust-region
 solve of the same penalized log loss by scipy.
 """
@@ -412,34 +414,42 @@ class TestFitLinearSvm:
         assert model.weights.shape == (3,)
 
     @pytest.mark.parametrize("C", REGULARIZATION_GRID)
-    def test_dcd_agrees_with_qp_solver(self, synth_dataset, C):
+    def test_zero_duality_gap(self, synth_dataset, C):
+        # The free-bias primal at the fitted (w, b) must equal minus the
+        # optimum of the dual with its equality constraint, as SLSQP finds
+        # it, polished by a second, tighter run from its own point.
         X = np.vstack([e.features for e in synth_dataset])
         y = np.array([e.label for e in synth_dataset], dtype=np.float64)
         sign = np.where(y > 0.5, 1.0, -1.0)
         n = len(y)
         mean, scale, b, w = _fit_linear_svm_core(X, y, C)
-        A = np.column_stack([(X - mean) / scale, np.ones(n)])
+        Z = (X - mean) / scale
+        hinge = np.maximum(0.0, 1.0 - sign * (Z @ w + b))
+        primal = 0.5 * w @ w + C / n * hinge.sum()
 
-        def primal(theta):
-            hinge = np.maximum(0.0, 1.0 - sign * (A @ theta))
-            return 0.5 * theta @ theta + C / n * hinge.sum()
+        Q = (sign[:, None] * sign[None, :]) * (Z @ Z.T)
 
-        Q = (sign[:, None] * sign[None, :]) * (A @ A.T)
-        result = optimize.minimize(
-            lambda a: 0.5 * a @ Q @ a - a.sum(),
-            np.zeros(n),
-            jac=lambda a: Q @ a - 1.0,
-            bounds=[(0.0, C / n)] * n,
-            method="SLSQP",
-            options={"ftol": 1e-12, "maxiter": 500},
+        def dual(a):
+            return 0.5 * a @ Q @ a - a.sum()
+
+        problem = dict(
+            jac=lambda a: Q @ a - 1.0, bounds=[(0.0, C / n)] * n, method="SLSQP",
+            constraints=[{"type": "eq", "fun": lambda a: a @ sign,
+                          "jac": lambda a: sign}],
         )
-        assert result.success
-        assert primal(np.append(w, b)) <= primal(A.T @ (result.x * sign)) + 1e-9
+        reference = optimize.minimize(
+            dual, np.zeros(n), options={"ftol": 1e-12, "maxiter": 1000}, **problem
+        ).x
+        reference = optimize.minimize(
+            dual, reference, options={"ftol": 1e-15, "maxiter": 1000}, **problem
+        ).x
+        optimum = dual(reference)
+        assert abs(primal + optimum) <= 1e-9 * abs(optimum)
 
-    def test_sweep_cap_raises(self, monkeypatch):
+    def test_step_cap_warns(self, monkeypatch):
         X, y = np.array([[-1.0], [-2.0], [1.0], [2.0]]), np.array([0.0, 0.0, 1.0, 1.0])
-        monkeypatch.setattr(predictor, "DCD_MAX_SWEEPS", 1)
-        with pytest.raises(RuntimeError, match="did not converge"):
+        monkeypatch.setattr(predictor, "SMO_MAX_STEPS", 1)
+        with pytest.warns(RuntimeWarning, match="SMO hit its step cap"):
             _fit_linear_svm_core(X, y, 1.0)
 
     def test_missing_platt_rejected(self):
@@ -560,7 +570,7 @@ class TestRbfSvm:
             )
         ),
         labels=st.lists(st.booleans(), min_size=40, max_size=40),
-        gamma=st.sampled_from(GAMMA_GRID),
+        gamma=st.sampled_from((None, *GAMMA_GRID)),  # None: the linear kernel
         C=st.sampled_from(REGULARIZATION_GRID),
     )
     @hypothesis.example(
@@ -577,7 +587,7 @@ class TestRbfSvm:
         n = len(points)
         sign = np.where(labels[:n], 1.0, -1.0)
         sign[:2] = (1.0, -1.0)
-        K = _rbf_kernel(points, points, gamma)
+        K = points @ points.T if gamma is None else _rbf_kernel(points, points, gamma)
         Q = (sign[:, None] * sign[None, :]) * K
         (alpha, _), _ = _with_warnings(_smo, K, sign, C)
 
