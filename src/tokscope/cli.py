@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +100,10 @@ def generate_zipf_stream(
     # could leave the int64 range.
     if n_tokens > 2**62:
         raise ValueError(f"n_tokens must be at most 2^62, got {n_tokens}")
+    # numpy cannot address 2^60 float64 ranks (2^63 bytes), and it counts
+    # them from n_types rounded to a float, so 2^60 - 1 counts as 2^60.
+    if n_types > 2**59:
+        raise ValueError(f"n_types must be at most 2^59, got {n_types}")
     ranks = np.arange(1, n_types + 1, dtype=np.float64)
     # The tail count n_tokens / n_types^exponent is the least. Below 1/e it
     # is zero for certain, and that is checked in logs first, before
@@ -289,10 +293,17 @@ def _cmd_correlate(config: RunConfig) -> int:
     return 0
 
 
-def _load_fixture(config: RunConfig):
-    if config.fixture is None:
-        return load_bundled_fixture()
-    return load_downstream_fixture(config.fixture)
+def _load_scored_metrics(config: RunConfig):
+    """The fixture and the metric records of predict and rank; the records
+    must cover every tokenizer and language of the fixture."""
+    fixture = (load_bundled_fixture() if config.fixture is None
+               else load_downstream_fixture(config.fixture))
+    metrics = load_metric_dir(config.metrics_dir)
+    for key in product(fixture.tokenizers(), fixture.languages()):
+        if key not in metrics:
+            raise ValueError(f"{config.metrics_dir}: missing metrics for {key}, "
+                             f"a tokenizer and language of {fixture.source}")
+    return fixture, metrics
 
 
 def load_metric_dir(path) -> dict[tuple[str, str], MetricVector]:
@@ -331,8 +342,7 @@ def _cmd_predict(config: RunConfig) -> int:
     _require(config, "metrics_dir", "out")
     from .predictor import leave_one_tokenizer_out  # only predict and rank load it
 
-    fixture = _load_fixture(config)
-    metrics = load_metric_dir(config.metrics_dir)
+    fixture, metrics = _load_scored_metrics(config)
     report = leave_one_tokenizer_out(
         metrics,
         fixture,
@@ -362,8 +372,7 @@ def _cmd_rank(config: RunConfig) -> int:
         evaluate_ranking, fit_bradley_terry, ground_truth_ranking, ranking_from_ratings,
     )
 
-    fixture = _load_fixture(config)
-    metrics = load_metric_dir(config.metrics_dir)
+    fixture, metrics = _load_scored_metrics(config)
     probs = heldout_language_probabilities(
         metrics, fixture, config.scale, config.heldout_language,
         cv_folds=config.cv_folds, seed=config.seed,

@@ -23,7 +23,6 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +41,6 @@ BUNDLED_SCORES = "wmt21_mt_scores.csv"
 # per write call, which bounds the memory a file costs beyond its ids.
 READ_BLOCK_BYTES = 1 << 20
 WRITE_BLOCK_TOKENS = 1 << 20
-# Corpora are read this many bytes at a time, plus the rest of a line.
-_CORPUS_BLOCK_BYTES = 1 << 16
 
 _WHITESPACE = b" \t\n\r\v\f"
 _LINE_BREAKS = b"\n\r\v\f"
@@ -114,11 +111,13 @@ class DownstreamFixture:
     """
 
     entries: dict[tuple[str, str, str, str], ScoreEntry] = field(default_factory=dict)
+    source: str = ""  # the file the scores were read from, named in errors
 
     def get(self, tokenizer: str, scale: str, language: str, direction: str) -> ScoreEntry:
         key = (tokenizer, scale, language, direction)
         if key not in self.entries:
-            raise KeyError(f"no score for {key}")
+            where = f"{self.source}: " if self.source else ""
+            raise KeyError(f"{where}no score for {key}")
         return self.entries[key]
 
     def mean_metricx(self, tokenizer: str, scale: str, language: str) -> float:
@@ -151,23 +150,30 @@ def load_corpus(path, format: str = "plaintext-lines") -> list[Document]:
 
 
 def read_documents(path, format: str = "plaintext-lines") -> Iterator[Document]:
-    """Yield the documents of a plaintext-lines or jsonl file, reading a
-    block of whole lines at a time.
+    """Yield the documents of a plaintext-lines or jsonl file, reading one
+    line at a time.
 
     Lines end at LF, and one CR before it is dropped; other line
     separators (VT, FF, U+0085, U+2028, ...) are text, so line numbers are
     those of `wc -l`. Empty lines (and jsonl records with empty text) are
     skipped: they contribute no tokens and would distort per-document
     statistics. Bytes that are not UTF-8 raise the error `read_text`
-    raises, with their position in the whole file.
+    raises, with their position in the whole file. jsonl text with a
+    lone surrogate (an escape such as "\\udc80") has no UTF-8 form and is
+    refused, naming its line.
     """
     with Path(path).open("rb") as fh:
         if format not in ("plaintext-lines", "jsonl"):
             raise ValueError(f"unknown corpus format {format!r}")
         seen_ids: set[str] = set()
-        lines = enumerate(chain.from_iterable(_line_runs(fh, path)), start=1)
-        for lineno, line in lines:
-            line = line[:-1] if line.endswith("\r") else line
+        offset = 0
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise _decode_error(path, e, offset) from None
+            offset += len(raw)
+            line = line.removesuffix("\n").removesuffix("\r")
             if format == "plaintext-lines":
                 if line:
                     yield Document(id=str(lineno), text=line)
@@ -186,6 +192,11 @@ def read_documents(path, format: str = "plaintext-lines") -> Iterator[Document]:
                 raise ValueError(f'{path} line {lineno}: "text" must be a string')
             if not text:
                 continue
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise ValueError(f'{path} line {lineno}: "text" holds the lone surrogate '
+                                 f"U+{ord(text[e.start]):04X}") from None
             doc_id = str(record.get("id", lineno))
             if doc_id in seen_ids:
                 raise ValueError(f"{path} line {lineno}: duplicate document id {doc_id!r}")
@@ -193,34 +204,9 @@ def read_documents(path, format: str = "plaintext-lines") -> Iterator[Document]:
             yield Document(id=doc_id, text=text)
 
 
-def _line_runs(fh, path) -> Iterator[list[str]]:
-    """The lines of a binary file, split at LF and decoded a run of whole
-    lines at a time."""
-    offset, parts = 0, []
-    while True:
-        chunk = fh.read(_CORPUS_BLOCK_BYTES)
-        cut = chunk.rfind(b"\n") + 1
-        if chunk and not cut:  # a line longer than a block goes on
-            parts.append(chunk)
-            continue
-        parts.append(chunk[:cut])
-        data = b"".join(parts)
-        parts = [chunk[cut:]]
-        try:
-            lines = data.decode("utf-8").split("\n")
-        except UnicodeDecodeError as e:
-            raise _decode_error(path, e, offset) from None
-        offset += len(data)
-        if not chunk:
-            yield lines
-            return
-        lines.pop()  # the empty text after the last LF; the next line starts here
-        yield lines
-
-
 def _decode_error(path, e: UnicodeDecodeError, offset: int) -> ValueError:
-    """The error of `read_text` for a decoding error in a run of lines that
-    starts `offset` bytes into the file, in the words of UnicodeDecodeError."""
+    """The error of `read_text` for a decoding error in a line that starts
+    `offset` bytes into the file, in the words of UnicodeDecodeError."""
     start = e.start + offset
     if e.end == e.start + 1:
         where = f"byte 0x{e.object[e.start]:02x} in position {start}"
@@ -475,7 +461,7 @@ def _parse_fixture(text: str, source: str) -> DownstreamFixture:
         if entry.key in entries:
             raise ValueError(f"{source} line {lineno}: duplicate key {entry.key}")
         entries[entry.key] = entry
-    return DownstreamFixture(entries=entries)
+    return DownstreamFixture(entries=entries, source=source)
 
 
 def save_downstream_fixture(fixture: DownstreamFixture, path) -> None:

@@ -124,7 +124,7 @@ def _standardization(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _stratified_folds(y: np.ndarray, k: int) -> list[np.ndarray]:
     """Deal each class round-robin over k folds, in dataset order."""
     if k < 2:
-        raise ValueError("need at least 2 folds")
+        raise ValueError(f"cv_folds must be at least 2, got {k}")
     folds: list[list[int]] = [[] for _ in range(k)]
     for cls in (1.0, 0.0):
         for slot, idx in enumerate(np.nonzero(y == cls)[0]):

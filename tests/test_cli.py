@@ -160,6 +160,16 @@ class TestGenZipf:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_types", [2**62 + 1, 10**20 - 1, 2**60 - 1])
+    def test_n_types_numpy_cannot_address_fails_named(self, tmp_path, capsys, n_types):
+        out = tmp_path / "stream.txt"
+        assert cli("gen-zipf", "--n-tokens", 1, "--n-types", n_types, "--exponent", 0,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"tokscope: error: n_types must be at most 2^59, got {n_types}\n"
+        )
+        assert not out.exists()
+
     def test_generator_validation(self):
         with pytest.raises(ValueError, match="at least 3"):
             generate_zipf_stream(100, 2, 1.0)
@@ -171,6 +181,62 @@ class TestGenZipf:
     def test_exponent_zero_is_uniform(self):
         seq = generate_zipf_stream(300, 3, 0.0, seed=0)
         assert Counter(seq.tokens.tolist()) == {0: 300, 1: 300, 2: 300}
+
+
+def run_quietly(*argv) -> tuple[int, str, list]:
+    """Run a command in process; return its exit code, stderr and warnings."""
+    with contextlib.redirect_stderr(io.StringIO()) as err, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli(*argv)
+    return code, err.getvalue(), caught
+
+
+def assert_clean_outcome(code, err, written, *culprits):
+    """A run either succeeds silently with output, or fails with one error
+    line that names one of `culprits` and leaves no output."""
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert written and not err
+    else:
+        lines = err.splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].endswith("\n")
+        assert lines[0].startswith(tuple(f"tokscope: error: {c}" for c in culprits))
+        assert not written
+
+
+# Values gen-zipf accepts are drawn small, n_tokens * n_types <= 10^6; the
+# large ones are refused before anything is allocated.
+ZIPF_REFUSED_TOKENS = [2**62 + 1, 2**63, 10**20]
+ZIPF_REFUSED_TYPES = [2**59 + 1, 2**60, 2**62 + 1, 10**20 - 1]
+ZIPF_EXPONENTS = ["0", "0.5", "1", "2.5", "60", "1e308", "-1", "-0.0", "nan", "inf", "-inf"]
+
+
+@st.composite
+def zipf_flags(draw):
+    n_types = draw(st.integers(-2, 1000))
+    n_tokens = draw(st.integers(-2, 10**6 // max(n_types, 1)))
+    refuse = draw(st.sampled_from([None, "n_tokens", "n_types"]))
+    if refuse == "n_tokens":
+        n_tokens = draw(st.sampled_from(ZIPF_REFUSED_TOKENS))
+    elif refuse == "n_types":
+        n_types = draw(st.sampled_from(ZIPF_REFUSED_TYPES))
+    # With "=", argparse reads "-inf" as a value, not as an unknown flag.
+    return [f"--n-tokens={n_tokens}", f"--n-types={n_types}",
+            f"--exponent={draw(st.sampled_from(ZIPF_EXPONENTS))}",
+            f"--seed={draw(st.integers(-1, 3))}"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(flags=zipf_flags())
+def test_fuzzed_gen_zipf_flags_fail_cleanly(flags):
+    # Numeric flags either generate a stream or fail with one error line.
+    with tempfile.TemporaryDirectory() as d:
+        out = Path(d) / "stream.txt"
+        code, err, caught = run_quietly("gen-zipf", *flags, "--out", out)
+        written = out.exists()
+    assert not caught
+    assert_clean_outcome(code, err, written, "")
 
 
 class TestMetricsCommand:
@@ -507,6 +573,93 @@ def test_deeply_nested_json_is_malformed(tmp_path, capsys, synth_cli_world, read
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["encode", "metrics"])
+def test_lone_surrogate_in_jsonl_text_fails_located(tmp_path, capsys, trained_bpe, command):
+    _, vocab, merges = trained_bpe
+    corpus, out = tmp_path / "c.jsonl", tmp_path / "out"
+    corpus.write_text('{"text": "ok"}\n{"text": "ab \\udc80"}\n', encoding="utf-8")
+    assert cli(command, "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+               "--format", "jsonl", "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f'tokscope: error: {corpus} line 2: "text" holds the lone surrogate U+DC80\n'
+    )
+    assert not out.exists()
+
+
+# A tiny byte-level BPE (U+0120 is the space symbol) and two corpora for it,
+# mutated with bytes that are not UTF-8, lone CRs, JSON syntax, lone
+# surrogate escapes and characters the vocabulary lacks.
+FUZZ_VOCAB = '{"a": 0, "b": 1, "c": 2, "\u0120": 3, "ab": 4, "\u0120a": 5}\n'.encode()
+FUZZ_MERGES = "#version: 0.2\na b\n\u0120 a\n".encode()
+FUZZ_CORPORA = {
+    "plaintext-lines": b"ab c\nabc ab\r\n\nca b\n",
+    "jsonl": b'{"id": "d1", "text": "ab c"}\n{"text": "abc ab"}\r\n\n{"id": 7, "text": "ca b"}\n',
+}
+BPE_FUZZ_PIECES = [b"a", b"b", b" ", b"\n", b"\r", b"\r\n", b"\xff", b"\xc3\xa9", b"\xc4\xa0",
+                   b"\\ud800", b"\\udc80", b"\\u00e9", b'"', b"{", b"}", b",", b":", b"[", b"#",
+                   b"x", b"-1", b"9223372036854775808", b'"text"', b'"id"', b"\x00"]
+
+
+@st.composite
+def bpe_inputs(draw):
+    """A corpus format, and the vocabulary, merges and corpus bytes, each
+    kept or mutated."""
+    corpus_format = draw(st.sampled_from(sorted(FUZZ_CORPORA)))
+    seeds = FUZZ_VOCAB, FUZZ_MERGES, FUZZ_CORPORA[corpus_format]
+    return corpus_format, [draw(st.one_of(st.just(seed), mutated_files(seed, BPE_FUZZ_PIECES)))
+                           for seed in seeds]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["encode", "metrics"]), inputs=bpe_inputs())
+def test_fuzzed_bpe_inputs_fail_cleanly(command, inputs):
+    # Vocabulary, merges and corpus either encode (or count) or fail with
+    # one line that names one of them, and no output.
+    corpus_format, contents = inputs
+    with tempfile.TemporaryDirectory() as d:
+        paths = [Path(d) / name for name in ("vocab.json", "merges.txt", "corpus")]
+        for path, content in zip(paths, contents):
+            path.write_bytes(content)
+        out = Path(d) / "out"
+        code, err, caught = run_quietly(command, "--vocab", paths[0], "--merges", paths[1],
+                                        "--corpus", paths[2], "--format", corpus_format,
+                                        "--out", out)
+        written = out.exists()
+    assert not caught
+    assert_clean_outcome(code, err, written, *paths)
+
+
+@pytest.mark.parametrize("command", ["predict", "rank"])
+@pytest.mark.parametrize("case", ["fixture row", "metric record", "bundled fixture",
+                                  "1 fold", "0 folds", "-3 folds"])
+def test_mismatched_inputs_fail_named(tmp_path, capsys, synth_cli_world, command, case):
+    metrics_dir, fixture = synth_cli_world
+    argv = [command, "--metrics-dir", metrics_dir, "--scale", SYNTH_SCALE, "--out",
+            tmp_path / "out"] + (["--heldout-language", "bb"] if command == "rank" else [])
+    if case == "fixture row":
+        lines = fixture.read_text(encoding="utf-8").splitlines(keepends=True)
+        fixture.write_text("".join(line for line in lines
+                                   if not line.startswith("carol,1B,bb,en-xx,")),
+                           encoding="utf-8")
+        message = f"{fixture}: no score for ('carol', '1B', 'bb', 'en-xx')"
+    elif case == "metric record":
+        (metrics_dir / "alpha_aa.json").unlink()
+        message = (f"{metrics_dir}: missing metrics for ('alpha', 'aa'), "
+                   f"a tokenizer and language of {fixture}")
+    elif case == "bundled fixture":
+        message = (f"{metrics_dir}: missing metrics for ('Aya 23', 'cs'), "
+                   "a tokenizer and language of wmt21_mt_scores.csv")
+    else:
+        folds = int(case.split()[0])
+        argv += ["--cv-folds", folds]
+        message = f"cv_folds must be at least 2, got {folds}"
+    if case != "bundled fixture":
+        argv += ["--fixture", fixture]
+    assert cli(*argv) == 1
+    assert capsys.readouterr().err == f"tokscope: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "rank"])
 def test_huge_metric_value_fails_named(tmp_path, capsys, synth_cli_world, command):
     metrics_dir, fixture = synth_cli_world
@@ -598,6 +751,75 @@ def test_fuzzed_metric_records_fail_cleanly(edits):
         assert len(lines) == 1 and lines[0].endswith("\n")
         assert lines[0].startswith("tokscope: error: ")
         assert not written
+
+
+# A fixture row's cell is set to one of these: empty, non-numeric, negative,
+# non-finite and out-of-range scores, unknown directions and scales, extra
+# separators and quotes.
+FIXTURE_GARBLE = ["", "x", "-1", "nan", "inf", "1e309", "0", "en-fr", "2.7B", "a,b", '"', "#"]
+
+
+@st.composite
+def fixture_edits(draw):
+    """Edits of the synthetic world: ("row", kind, index, arg) edits of the
+    fixture CSV's data rows, and ("record", index, edit) edits of its
+    metric records, where edit is None to delete the record."""
+    edits = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            kind = draw(st.sampled_from(["drop", "duplicate", "garble"]))
+            arg = (draw(st.integers(0, 5)), draw(st.sampled_from(FIXTURE_GARBLE)))
+            edits.append(("row", kind, draw(st.integers(0, 47)), arg))
+        else:
+            one_edit = record_mutations().map(lambda edits: edits[0][1:])  # (kind, arg)
+            edit = draw(st.one_of(st.none(), one_edit))
+            edits.append(("record", draw(st.integers(0, 23)), edit))
+    return edits
+
+
+@settings(max_examples=80, deadline=None)
+@given(edits=fixture_edits(), command=st.sampled_from(["predict", "rank"]),
+       scale=st.sampled_from([SYNTH_SCALE, SYNTH_SCALE, "XX"]),
+       heldout=st.sampled_from(["aa", "dd", "zz"]), folds=st.integers(-2, 4))
+def test_fuzzed_fixture_and_metrics_fail_cleanly(edits, command, scale, heldout, folds):
+    # A fixture and metrics directory either predict or rank, or fail with
+    # one error line and no output.
+    with tempfile.TemporaryDirectory() as d:
+        metrics_dir, fixture, out = Path(d) / "metrics", Path(d) / "scores.csv", Path(d) / "out"
+        write_metrics_dir(make_synthetic_metrics(), metrics_dir)
+        save_downstream_fixture(make_synthetic_fixture(), fixture)
+        header, *rows = fixture.read_text(encoding="utf-8").splitlines()
+        records = sorted(metrics_dir.glob("*.json"))
+        for edit in edits:
+            if edit[0] == "row":
+                _, kind, index, (column, value) = edit
+                index %= len(rows)
+                if kind == "drop":
+                    del rows[index]
+                elif kind == "duplicate":
+                    rows.insert(index, rows[index])
+                else:
+                    cells = rows[index].split(",")
+                    cells[column % len(cells)] = value
+                    rows[index] = ",".join(cells)
+            elif not records[edit[1]].exists():
+                continue
+            elif edit[2] is None:
+                records[edit[1]].unlink()
+            else:
+                text = mutate_record(records[edit[1]].read_text(encoding="utf-8"), *edit[2])
+                records[edit[1]].write_text(text, encoding="utf-8")
+        fixture.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        argv = [command, "--fixture", fixture, "--metrics-dir", metrics_dir, "--scale", scale,
+                "--cv-folds", folds, "--out", out]
+        if command == "rank":
+            argv += ["--heldout-language", heldout]
+        else:
+            argv += ["--model", "logistic"]
+        code, err, caught = run_quietly(*argv)
+        written = out.exists()
+    assert not caught
+    assert_clean_outcome(code, err, written, "")
 
 
 class TestEncode:

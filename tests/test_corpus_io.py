@@ -126,11 +126,9 @@ CORPUS_BYTES = [b"a", b" ", b"\n", b"\r", b"\r\n", b"\x0b", b"\xe2\x80\xa8", b"\
 class TestReadDocuments:
     """The corpus read a line at a time, as it was read whole before."""
 
-    @given(data=st.lists(st.sampled_from(CORPUS_BYTES), max_size=40).map(b"".join),
-           block=st.integers(1, 20))
-    def test_matches_the_whole_file_read(self, data, block):
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(corpus_io, "_CORPUS_BLOCK_BYTES", block):
+    @given(data=st.lists(st.sampled_from(CORPUS_BYTES), max_size=40).map(b"".join))
+    def test_matches_the_whole_file_read(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.txt"
             path.write_bytes(data)
             try:
@@ -144,6 +142,23 @@ class TestReadDocuments:
         lines = [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
         assert [(d.id, d.text) for d in docs] == [
             (str(n), line) for n, line in enumerate(lines, start=1) if line]
+
+    def test_bad_byte_far_into_the_file_has_its_whole_file_position(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes("line \u00e9\n".encode() * 100_001 + b"ok \xc3(\n")
+        with pytest.raises(ValueError) as whole:
+            read_text(path)
+        assert "position 800011:" in str(whole.value)
+        with pytest.raises(ValueError) as got:
+            load_corpus(path)
+        assert str(got.value) == str(whole.value)
+
+    def test_line_longer_than_64_kib_is_one_document(self, tmp_path):
+        long_line = "\u4e2d" * 30_000  # 90,000 bytes
+        path = tmp_path / "c.txt"
+        path.write_bytes(f"a\r\n{long_line}\r\nb\r\n".encode())
+        assert [(d.id, d.text) for d in read_documents(path)] == [
+            ("1", "a"), ("2", long_line), ("3", "b")]
 
     def test_blank_and_crlf_lines(self, tmp_path):
         path = tmp_path / "c.txt"
