@@ -20,10 +20,11 @@ a merge, until no piece has a ranked pair.
 `encode_lines` and `count_encoded` work on words: the chunks of a text
 split at its spaces. When each space has non-whitespace on both sides,
 the text's pieces are those of its words, each after the first with its
-leading space (see `_words`), so a call pre-tokenizes and renders or
-counts each distinct word once, and a repeated word costs a dictionary
-lookup. Any other text is pre-tokenized whole. Memos of words and pieces
-live as long as one call. Decoding inverts the byte mapping, so
+leading space (see `_words`), so each distinct word is pre-tokenized
+once. `encode_lines` renders a batch of texts at a time from memos of
+words and pieces that live as long as the call; `count_encoded` counts
+the words of all the texts first, then merges each distinct piece once.
+Any other text is pre-tokenized whole. Decoding inverts the byte mapping, so
 decode(encode(text)) == text for any vocabulary whose merges were built
 over the same byte alphabet.
 """
@@ -34,7 +35,7 @@ import json
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from types import MappingProxyType
 
@@ -54,6 +55,10 @@ _PRETOKENIZER = regex.compile(
 # Texts are pre-tokenized and their new pieces merged in batches of at
 # least this many characters (the last batch may hold fewer).
 BATCH_CHARS = 1 << 16
+
+# `count_encoded` merges its distinct pieces this many at a time, so that
+# the merge's arrays stay about as small as a batch's.
+MERGE_PIECES = 1 << 13
 
 _NO_RANK = np.iinfo(np.int64).max
 
@@ -83,10 +88,6 @@ class BpeTokenizer:
 
 class UnknownSymbolError(ValueError):
     """A text holds a byte whose one-byte token is not in the vocabulary."""
-
-    def __init__(self, message: str, text_index: int):
-        super().__init__(message)
-        self.text_index = text_index  # the text's position among those encoded
 
 
 def byte_to_unicode() -> dict[int, str]:
@@ -267,51 +268,40 @@ def _words(text: str) -> list[str] | None:
     return words
 
 
-def _batches(texts: Iterable[str]) -> Iterator[tuple[int, list]]:
-    """The position of each batch's first text, and each of its texts with
-    its words (None off the word path). The list is emptied and refilled
-    for the next batch, so only one batch is held at a time."""
-    batch, chars, first = [], 0, 0
+def _batches(texts: Iterable[str]) -> Iterator[list]:
+    """Batches of texts, each text with its words (None off the word
+    path). The list is emptied and refilled for the next batch, so only
+    one batch is held at a time."""
+    batch, chars = [], 0
     for text in texts:
         batch.append((text, _words(text)))
         chars += len(text)
         if chars >= BATCH_CHARS:
-            yield first, batch
-            first += len(batch)
+            yield batch
             batch.clear()
             chars = 0
     if batch:
-        yield first, batch
+        yield batch
 
 
-def _merge_batch(tokenizer: BpeTokenizer, first: int, batch: list, words, firsts, pieces):
-    """Pre-tokenize what a batch of texts holds that the memos lack, and
-    merge each of its new pieces once.
+def _unknown_symbol(tokenizer: BpeTokenizer, text: str) -> str | None:
+    """The error message for the first byte of `text` that has no one-byte
+    token, or None if every byte has one."""
+    data = text.encode("utf-8")
+    missing = np.flatnonzero(tokenizer.byte_index[np.frombuffer(data, dtype=np.uint8)] < 0)
+    if not len(missing):
+        return None
+    return (f"symbol {_BYTE_ENCODER[data[missing[0]]]!r} is not in the vocabulary; "
+            "vocab and merges files are inconsistent")
 
-    `batch` comes from `_batches`, and `first` is the position of its
-    first text among all those encoded. The units are each word that
-    `words` lacks, with its leading space, each first word of a text that
-    `firsts` lacks, and each text off the word path, whole. Returns the
-    new words, the new first words, the pieces of each unit in that
-    order, the pieces that `pieces` lacks, their merged indices end to
-    end and each one's end offset. A byte that has no one-byte token
-    raises UnknownSymbolError for the first text that holds one.
-    """
-    new_words = list(set(chain.from_iterable(w[1:] for _, w in batch if w)).difference(words))
-    new_firsts = list({w[0] for _, w in batch if w}.difference(firsts))
-    units = [*(pretokenize(" " + word) for word in new_words), *map(pretokenize, new_firsts),
-             *(pretokenize(text) for text, w in batch if w is None)]
-    new_pieces = list(set(chain.from_iterable(units)).difference(pieces))
-    merged = _merge(tokenizer, new_pieces)
+
+def _merged(tokenizer: BpeTokenizer, pieces: list[str], texts: Iterable[str]):
+    """`_merge` of the pieces, which come from `texts`; a byte that has no
+    one-byte token raises UnknownSymbolError for the first text holding one."""
+    merged = _merge(tokenizer, pieces)
     if merged is None:
-        text, byte = next((i, b) for i, (text, _) in enumerate(batch)
-                          for b in text.encode("utf-8") if tokenizer.byte_index[b] < 0)
-        raise UnknownSymbolError(
-            f"symbol {_BYTE_ENCODER[byte]!r} is not in the vocabulary; "
-            "vocab and merges files are inconsistent",
-            first + text,
-        )
-    return new_words, new_firsts, units, new_pieces, *merged
+        raise UnknownSymbolError(next(filter(None, (_unknown_symbol(tokenizer, t) for t in texts))))
+    return merged
 
 
 def _parts(new: list[str], values: list, ends: np.ndarray) -> Iterator[tuple[str, list]]:
@@ -322,7 +312,9 @@ def _parts(new: list[str], values: list, ends: np.ndarray) -> Iterator[tuple[str
 
 def encode(tokenizer: BpeTokenizer, text: str, name: str = "") -> TokenSequence:
     """The ids of `text`; the call merges each of its distinct pieces once."""
-    _, _, (pieces,), new, merged, ends = _merge_batch(tokenizer, 0, [(text, None)], (), (), ())
+    pieces = pretokenize(text)
+    new = list(set(pieces))
+    merged, ends = _merged(tokenizer, new, [text])
     memo = dict(_parts(new, tokenizer.ids[merged].tolist(), ends))
     ids = np.fromiter(chain.from_iterable(map(memo.__getitem__, pieces)), dtype=np.int64)
     return TokenSequence(tokens=ids, source_tokenizer=name)
@@ -335,14 +327,21 @@ def encode_lines(tokenizer: BpeTokenizer, texts: Iterable[str]) -> Iterator[str]
     and rendered once and each distinct piece merged once, a batch's new
     pieces together; a line joins the rendered words of its text, so no
     id passes through a list or an array. A text off the word path is
-    pre-tokenized whole each time. A failure raises UnknownSymbolError,
-    which gives the position of the failing text.
+    pre-tokenized whole each time. An UnknownSymbolError is raised for
+    the first text of the failing batch that holds an unknown byte.
     """
     words, firsts, pieces = {}, {}, {}  # each one's ids as text
     id_text = tokenizer.id_text
-    for first, batch in _batches(texts):
-        new_words, new_firsts, units, new_pieces, merged, ends = _merge_batch(
-            tokenizer, first, batch, words, firsts, pieces)
+    for batch in _batches(texts):
+        # The units are each word that `words` lacks, with its leading
+        # space, each first word that `firsts` lacks, and each text off
+        # the word path, whole.
+        new_words = list(set(chain.from_iterable(w[1:] for _, w in batch if w)).difference(words))
+        new_firsts = list({w[0] for _, w in batch if w}.difference(firsts))
+        units = [*(pretokenize(" " + word) for word in new_words), *map(pretokenize, new_firsts),
+                 *(pretokenize(text) for text, w in batch if w is None)]
+        new_pieces = list(set(chain.from_iterable(units)).difference(pieces))
+        merged, ends = _merged(tokenizer, new_pieces, (text for text, _ in batch))
         id_texts = [id_text[j] for j in merged.tolist()]
         pieces.update((piece, " ".join(part)) for piece, part in _parts(new_pieces, id_texts, ends))
         rendered = [" ".join(map(pieces.__getitem__, unit)) for unit in units]
@@ -361,35 +360,32 @@ def count_encoded(tokenizer: BpeTokenizer, texts: Iterable[str]) -> np.ndarray:
     int64 array of length len(tokenizer.ids), whose entry j counts the id
     tokenizer.ids[j].
 
-    Words are counted, and each piece of a distinct word counts as often
-    as the word; so does each piece of a text off the word path. Memory
-    grows with the distinct words and pieces, not with the texts. A
-    failure raises UnknownSymbolError, as in `encode_lines`.
+    One pass counts the later and first words of the texts on the word
+    path and the pieces of the others. Each distinct word's pieces then
+    count as often as the word, and the distinct pieces merge
+    `MERGE_PIECES` at a time. So the texts are read to the end before any
+    merge, and memory grows with the distinct words and pieces, not with
+    the texts. An UnknownSymbolError names the symbol, not the text.
     """
-    words, firsts, pieces = {}, {}, {}  # the positions of each one's pieces among those merged
-    counts = Counter(), Counter(), Counter()  # of words, first words and pieces off the word path
-    merged, sizes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for first, batch in _batches(texts):
-        new_words, new_firsts, units, new_pieces, batch_merged, ends = _merge_batch(
-            tokenizer, first, batch, words, firsts, pieces)
-        pieces.update((piece, (i,)) for i, piece in enumerate(new_pieces, start=len(pieces)))
-        merged.append(batch_merged)
-        sizes.append(np.diff(ends, prepend=0))
-        on_path = len(new_words) + len(new_firsts)
-        held = [tuple(chain.from_iterable(map(pieces.__getitem__, unit)))
-                for unit in units[:on_path]]
-        words.update(zip(new_words, held))
-        firsts.update(zip(new_firsts, held[len(new_words):]))
-        counts[0].update(chain.from_iterable(w[1:] for _, w in batch if w))
-        counts[1].update(w[0] for _, w in batch if w)
-        counts[2].update(chain.from_iterable(units[on_path:]))
-    weights = np.zeros(len(pieces), dtype=np.int64)
-    for memo, counted in zip((words, firsts, pieces), counts):
-        held = list(map(memo.__getitem__, counted))
-        at = np.fromiter(chain.from_iterable(held), dtype=np.int64)
-        np.add.at(weights, at, np.repeat(list(counted.values()), list(map(len, held))))
+    later, firsts, pieces = Counter(), Counter(), Counter()
+    for text in texts:
+        words = _words(text)
+        if words is None:
+            pieces.update(pretokenize(text))
+        else:
+            firsts[words[0]] += 1
+            later.update(words[1:])
+    for counted, lead in ((later, " "), (firsts, "")):
+        for word, n in counted.items():
+            for piece in pretokenize(lead + word):
+                pieces[piece] += n
+        counted.clear()  # the words are not held while the pieces merge
     by_index = np.zeros(len(tokenizer.ids), dtype=np.int64)
-    np.add.at(by_index, np.concatenate(merged), np.repeat(weights, np.concatenate(sizes)))
+    items = iter(pieces.items())
+    while part := list(islice(items, MERGE_PIECES)):
+        distinct, counts = zip(*part)
+        merged, ends = _merged(tokenizer, list(distinct), distinct)
+        np.add.at(by_index, merged, np.repeat(counts, np.diff(ends, prepend=0)))
     return by_index
 
 

@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -104,18 +104,23 @@ def generate_zipf_stream(
     # them from n_types rounded to a float, so 2^60 - 1 counts as 2^60.
     if n_types > 2**59:
         raise ValueError(f"n_types must be at most 2^59, got {n_types}")
-    ranks = np.arange(1, n_types + 1, dtype=np.float64)
-    # The tail count n_tokens / n_types^exponent is the least. Below 1/e it
-    # is zero for certain, and that is checked in logs first, before
-    # ranks**exponent can overflow.
-    if math.log(n_tokens) - exponent * math.log(n_types) < -1.0 or (
-        counts := np.rint(n_tokens / ranks**exponent).astype(np.int64)
-    ).min() <= 0:
+    try:
+        ranks = np.arange(1, n_types + 1, dtype=np.float64)
+        # The tail count n_tokens / n_types^exponent is the least. Below 1/e
+        # it is zero for certain, and that is checked in logs first, before
+        # ranks**exponent can overflow.
+        if math.log(n_tokens) - exponent * math.log(n_types) < -1.0 or (
+            counts := np.rint(n_tokens / ranks**exponent).astype(np.int64)
+        ).min() <= 0:
+            raise ValueError(
+                "parameters yield a zero count at the tail; "
+                "increase n_tokens or reduce n_types/exponent"
+            )
+        stream = np.repeat(np.arange(n_types, dtype=np.int64), counts)
+    except MemoryError:
         raise ValueError(
-            "parameters yield a zero count at the tail; "
-            "increase n_tokens or reduce n_types/exponent"
-        )
-    stream = np.repeat(np.arange(n_types, dtype=np.int64), counts)
+            f"not enough memory for a stream of n_tokens={n_tokens} over n_types={n_types}"
+        ) from None
     np.random.default_rng(seed).shuffle(stream)
     return TokenSequence(tokens=stream, source_tokenizer=f"zipf-{exponent}")
 
@@ -165,7 +170,7 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
     name = config.tokenizer_name or Path(config.vocab).stem
     tokenizer = bpe.load_bpe(config.vocab, config.merges)
     docs = read_documents(config.corpus, config.corpus_format)
-    with _naming_the_document(config):
+    with _naming_the_document(config, tokenizer):
         counts = bpe.count_encoded(tokenizer, (doc.text for doc in docs))
     used = np.flatnonzero(counts)
     if not len(used):
@@ -174,17 +179,19 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
 
 
 @contextmanager
-def _naming_the_document(config: RunConfig):
+def _naming_the_document(config: RunConfig, tokenizer):
     """A failure to encode a document of the corpus names the corpus and
-    the document, which is found by reading the corpus again."""
-    from .bpe import UnknownSymbolError
+    the first document that holds a byte with no one-byte token, which is
+    found by reading the corpus again."""
+    from .bpe import UnknownSymbolError, _unknown_symbol
 
     try:
         yield
     except UnknownSymbolError as e:
-        docs = read_documents(config.corpus, config.corpus_format)
-        doc = next(islice(docs, e.text_index, None))
-        raise ValueError(f"{config.corpus} document {doc.id}: {e}") from None
+        for doc in read_documents(config.corpus, config.corpus_format):
+            if message := _unknown_symbol(tokenizer, doc.text):
+                raise ValueError(f"{config.corpus} document {doc.id}: {message}") from None
+        raise ValueError(f"{config.corpus}: {e}") from None  # a pipe reads as empty again
 
 
 def _cmd_encode(config: RunConfig) -> int:
@@ -197,7 +204,7 @@ def _cmd_encode(config: RunConfig) -> int:
     with out.open("w", encoding="utf-8") as fh:
         try:
             fh.write(_comment_line(config) + "\n")
-            with _naming_the_document(config):
+            with _naming_the_document(config, tokenizer):
                 for line in bpe.encode_lines(tokenizer, (doc.text for doc in docs)):
                     fh.write(line + "\n")
         except BaseException:

@@ -440,6 +440,15 @@ def _parse_fixture(text: str, source: str) -> DownstreamFixture:
         raise ValueError(f"{source}: missing columns: {sorted(missing)}")
     entries: dict[tuple[str, str, str, str], ScoreEntry] = {}
     for lineno, row in rows:
+        # csv fills a short row's missing fields with None and keeps a long
+        # row's extra fields in a list under the key None.
+        extra, short = row.pop(None, []), list(row.values()).count(None)
+        if extra or short:
+            raise ValueError(f"{source} line {lineno}: expected {len(header)} fields, "
+                             f"got {len(header) + len(extra) - short}")
+        for column in ("tokenizer", "scale", "language"):
+            if not row[column]:
+                raise ValueError(f"{source} line {lineno}: column {column!r} is empty")
         try:
             entry = ScoreEntry(
                 tokenizer=row["tokenizer"],
@@ -449,7 +458,7 @@ def _parse_fixture(text: str, source: str) -> DownstreamFixture:
                 metricx=float(row["metricx"]),
                 chrf=float(row["chrf"]),
             )
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise ValueError(f"{source} line {lineno}: bad row: {e}") from None
         if entry.direction not in DIRECTIONS:
             raise ValueError(

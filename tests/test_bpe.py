@@ -511,6 +511,27 @@ class TestWordPath:
         assert peak(10_000, 500) < few + 100_000
         assert peak(1_000, 20_000) > few + 1_000_000
 
+    def test_counting_holds_no_more_than_encoding(self, trained_bpe):
+        # Counting holds each distinct word and piece once, with its count,
+        # and merges the distinct pieces a slice at a time; encoding holds
+        # each distinct word and piece with its ids as text.
+        tok, _, _ = trained_bpe
+        rng = random.Random(1)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        words = ["".join(rng.choices(letters, k=rng.randint(3, 9))) for _ in range(30_000)]
+        texts = [" ".join(rng.choices(words, k=30)) for _ in range(2_000)]
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run(tok, iter(texts))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        encoding = peak(lambda tok, texts: sum(1 for _ in encode_lines(tok, texts)))
+        assert peak(bpe.count_encoded) <= 1.1 * encoding
+
     @EACH_WORD_PATH_CALL
     def test_one_batch_is_held_at_a_time(self, trained_bpe, run):
         tok, _, _ = trained_bpe

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import resource
 import runpy
 import shutil
 import subprocess
@@ -43,7 +44,7 @@ from tokscope import (
     save_downstream_fixture,
     spearman,
 )
-from tokscope import corpus_io
+from tokscope import bpe, corpus_io
 from tokscope.bpe import BATCH_CHARS
 from tokscope.cli import _build_parser, config_from_args, load_metric_dir
 
@@ -60,13 +61,13 @@ def cli(*args) -> int:
     return main([str(a) for a in args])
 
 
-def cli_process(*args) -> subprocess.CompletedProcess:
+def cli_process(*args, **run_args) -> subprocess.CompletedProcess:
     """Run `python -m tokscope` in a fresh interpreter, as a user would."""
     package_root = str(Path(tokscope.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "tokscope", *map(str, args)],
         capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": package_root},
+        env={**os.environ, "PYTHONPATH": package_root}, **run_args,
     )
 
 
@@ -167,6 +168,25 @@ class TestGenZipf:
                    "--out", out) == 1
         assert capsys.readouterr().err == (
             f"tokscope: error: n_types must be at most 2^59, got {n_types}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_tokens, n_types", [
+        (1, 10**10),  # the ranks alone take 80 GB
+        (1000, 10**7),  # the ranks fit; the stream takes 80 GB
+    ])
+    def test_stream_too_large_for_memory_fails_named(self, tmp_path, n_tokens, n_types):
+        def cap_address_space():
+            # The kernel refuses the allocation, so nothing is allocated.
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        out = tmp_path / "stream.txt"
+        proc = cli_process("gen-zipf", "--n-tokens", n_tokens, "--n-types", n_types,
+                           "--exponent", 0, "--out", out, preexec_fn=cap_address_space)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"tokscope: error: not enough memory for a stream of n_tokens={n_tokens} "
+            f"over n_types={n_types}\n"
         )
         assert not out.exists()
 
@@ -304,18 +324,37 @@ class TestMetricsCommand:
 
     def test_corpus_counts_match_the_encoded_stream(self, tmp_path, trained_bpe):
         _, vocab_path, merges_path = trained_bpe
-        corpus = tmp_path / "c.txt"
-        corpus.write_text("the dog saw the fox\nthe fox ran away\nno\n", encoding="utf-8")
-        stream = tmp_path / "s.txt"
-        assert cli("encode", "--vocab", vocab_path, "--merges", merges_path,
-                   "--corpus", corpus, "--out", stream) == 0
-        out_corpus, out_tokens = tmp_path / "a.json", tmp_path / "b.json"
-        assert cli("metrics", "--vocab", vocab_path, "--merges", merges_path,
-                   "--corpus", corpus, "--out", out_corpus) == 0
-        assert cli("metrics", "--tokens", stream, "--out", out_tokens) == 0
-        a = json.loads(out_corpus.read_text(encoding="utf-8"))
-        b = json.loads(out_tokens.read_text(encoding="utf-8"))
-        assert {n: a[n] for n in METRIC_NAMES} == {n: b[n] for n in METRIC_NAMES}
+        rng = np.random.default_rng(3)
+        words = ["the", "dog", "saw", "fox", "ran", "away", "no", "猫", "🙂", "it's"]
+        # Half the texts join their words with single spaces (the word
+        # path); the others also with double spaces and tabs, and some lead
+        # with a blank. Numbers make pieces that no earlier batch has.
+        texts = ["the dog saw the fox", "the fox ran away", "no"]
+        while sum(map(len, texts)) < 3 * BATCH_CHARS:
+            n = int(rng.integers(1, 40))
+            chosen = [w if rng.random() < 0.9 else str(rng.integers(10**5)) for w in
+                      rng.choice(words, n)]
+            blanks = [" "] * n
+            if rng.random() < 0.5:
+                blanks = rng.choice([" ", " ", " ", "  ", "\t", " \t"], n)
+            text = "".join(b + w for b, w in zip(blanks, chosen))
+            texts.append(text if rng.random() < 0.3 else text[len(blanks[0]):])
+        assert sum(bpe._words(t) is None for t in texts) > len(texts) // 3
+        jsonl = [json.dumps({"id": str(i), "text": t}) for i, t in enumerate(texts)]
+        for corpus_format, lines in (("plaintext-lines", texts), ("jsonl", jsonl)):
+            corpus = tmp_path / "c.txt"
+            corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            stream = tmp_path / "s.txt"
+            flags = ["--vocab", vocab_path, "--merges", merges_path, "--corpus", corpus,
+                     "--format", corpus_format]
+            assert cli("encode", *flags, "--out", stream) == 0
+            out_corpus, out_tokens = tmp_path / "a.json", tmp_path / "b.json"
+            with mock.patch.object(bpe, "MERGE_PIECES", 50):  # the pieces merge in several slices
+                assert cli("metrics", *flags, "--out", out_corpus) == 0
+            assert cli("metrics", "--tokens", stream, "--out", out_tokens) == 0
+            a = json.loads(out_corpus.read_text(encoding="utf-8"))
+            b = json.loads(out_tokens.read_text(encoding="utf-8"))
+            assert {n: a[n] for n in METRIC_NAMES} == {n: b[n] for n in METRIC_NAMES}
 
     @pytest.mark.parametrize("corpus_format, text, doc_id", [
         ("plaintext-lines", "a\nabc\n", "2"),
@@ -336,6 +375,26 @@ class TestMetricsCommand:
         assert err == f"tokscope: error: {corpus} document {doc_id}: {SYMBOL_B_MISSING}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, fault", [
+        ("encode", " document 2: " + SYMBOL_B_MISSING),
+        ("metrics", ": invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position "
+                    f"{5 + BATCH_CHARS + 1}: invalid start byte"),
+    ])
+    def test_two_faults_in_different_batches(self, tmp_path, capsys, command, fault):
+        # An unknown symbol in the first batch and a bad byte in the next:
+        # encode merges the first batch before it reads the next, while
+        # metrics reads the whole corpus before it merges.
+        vocab, merges = tmp_path / "v.json", tmp_path / "m.txt"
+        vocab.write_text('{"a": 0}', encoding="utf-8")
+        merges.write_text("", encoding="utf-8")
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"a\nab\n" + b"a" * BATCH_CHARS + b"\n\xff\n")
+        out = tmp_path / "out"
+        assert cli(command, "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"tokscope: error: {corpus}{fault}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("corpus_format, text", [
         ("plaintext-lines", "\n\n\n"),
         ("jsonl", '{"id": "x1", "text": ""}\n{"id": "x2", "text": ""}\n'),
@@ -350,6 +409,20 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert err == f"tokscope: error: {corpus}: cannot count frequencies of an empty stream\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "metrics"])
+def test_unknown_symbol_in_a_piped_corpus_names_the_corpus(tmp_path, command):
+    # A pipe cannot be read again to find the document that holds the symbol.
+    vocab, merges = tmp_path / "v.json", tmp_path / "m.txt"
+    vocab.write_text('{"a": 0}', encoding="utf-8")
+    merges.write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    proc = cli_process(command, "--vocab", vocab, "--merges", merges, "--corpus", "/dev/stdin",
+                       "--out", out, input="a\nab\n")
+    assert proc.returncode == 1
+    assert proc.stderr == f"tokscope: error: /dev/stdin: {SYMBOL_B_MISSING}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source", ["tokens", "corpus"])

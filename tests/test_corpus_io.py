@@ -474,6 +474,38 @@ class TestDownstreamFixture:
         with pytest.raises(ValueError, match="line 2"):
             load_downstream_fixture(path)
 
+    @pytest.mark.parametrize("row, got", [
+        ("alpha,1B,aa,en-xx,10.25", 5),
+        ("alpha,1B,aa,en-xx,10.25,40,extra", 7),
+        ("alpha,1B,aa,en-xx,10.25,40,,", 8),
+        ("alpha", 1),
+    ])
+    def test_row_with_wrong_field_count_rejected(self, tmp_path, row, got):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "tokenizer,scale,language,direction,metricx,chrf\n"
+            "tok,1B,aa,en-xx,5.0,40.0\n" + row + "\n",
+            encoding="utf-8",
+        )
+        message = re.escape(f"{path} line 3: expected 6 fields, got {got}")
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            load_downstream_fixture(path)
+
+    @pytest.mark.parametrize("row, column", [
+        (",1B,aa,en-xx,10.25,40", "tokenizer"),
+        ("alpha,,aa,en-xx,10.25,40", "scale"),
+        ("alpha,1B,,en-xx,10.25,40", "language"),
+    ])
+    def test_empty_key_cell_rejected(self, tmp_path, row, column):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "tokenizer,scale,language,direction,metricx,chrf\n" + row + "\n",
+            encoding="utf-8",
+        )
+        message = re.escape(f"{path} line 2: column {column!r} is empty")
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            load_downstream_fixture(path)
+
     def test_negative_score_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text(
