@@ -31,7 +31,6 @@ over the same byte alphabet.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from types import MappingProxyType
 import numpy as np
 import regex
 
-from .corpus_io import _INT64_MAX, TokenSequence, _shown, read_text
+from .corpus_io import _INT64_MAX, TokenSequence, _shown, parse_json, read_text
 
 # Splits text into contractions, letter runs, digit runs, punctuation
 # runs, and whitespace, with a single optional leading space attached
@@ -128,11 +127,7 @@ def _read_only(values) -> np.ndarray:
 
 def load_bpe(vocab_path, merges_path) -> BpeTokenizer:
     vocab_path, merges_path = Path(vocab_path), Path(merges_path)
-    text = read_text(vocab_path)
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as e:  # digit limit, deep nesting
-        raise ValueError(f"{vocab_path}: malformed JSON: {getattr(e, 'msg', e)}") from e
+    raw = parse_json(read_text(vocab_path), vocab_path)
     if not isinstance(raw, dict):
         raise ValueError(f"{vocab_path}: vocabulary must be a JSON object")
     id_to_token: dict[int, str] = {}

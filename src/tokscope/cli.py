@@ -26,9 +26,11 @@ import numpy as np
 
 from . import __version__
 from .corpus_io import (
+    READ_BLOCK_BYTES,
     TokenSequence,
     load_bundled_fixture,
     load_downstream_fixture,
+    parse_json,
     read_commented_csv,
     read_documents,
     read_text,
@@ -50,6 +52,12 @@ from .zipf_metrics import (
 
 SEED_ENV_VAR = "TOKSCOPE_SEED"
 CURVE_BLOCK_ROWS = 1 << 16  # export-curve rows formatted per writerows call
+# `encode` splits a plaintext corpus into at most one byte range per CPU,
+# each of at least this many bytes, so that each range's work outweighs
+# the fork and the fresh memo it costs.
+MIN_PART_BYTES = 1 << 20
+# The faults `run` reports in one line; any other exception is a bug.
+_REPORTED = (ValueError, KeyError, OSError, RuntimeError)
 
 
 @dataclass
@@ -179,35 +187,70 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
 
 
 @contextmanager
-def _naming_the_document(config: RunConfig, tokenizer):
+def _naming_the_document(config: RunConfig, tokenizer, part=(0, None, 1)):
     """A failure to encode a document of the corpus names the corpus and
     the first document that holds a byte with no one-byte token, which is
-    found by reading the corpus again."""
+    found by reading the corpus (or its byte range `part`, see
+    `_corpus_ranges`) again."""
     from .bpe import UnknownSymbolError, _unknown_symbol
 
     try:
         yield
     except UnknownSymbolError as e:
-        for doc in read_documents(config.corpus, config.corpus_format):
+        for doc in read_documents(config.corpus, config.corpus_format, *part):
             if message := _unknown_symbol(tokenizer, doc.text):
                 raise ValueError(f"{config.corpus} document {doc.id}: {message}") from None
         raise ValueError(f"{config.corpus}: {e}") from None  # a pipe reads as empty again
 
 
 def _cmd_encode(config: RunConfig) -> int:
+    """Write the token file of the corpus: one line of ids per document.
+
+    The corpus is encoded in the byte ranges of `_corpus_ranges`. The
+    process forks a child for each range after the first, encodes the
+    first range into --out itself, then waits for the children in order
+    and appends the lines each wrote, so the file is the one a single
+    process writes. The first range that holds a fault reports it. A
+    failed or interrupted run leaves no --out file and no child.
+    """
     _require(config, "vocab", "merges", "corpus", "out")
+    import shutil
+    import signal
+
     from . import bpe
 
     tokenizer = bpe.load_bpe(config.vocab, config.merges)
-    docs = read_documents(config.corpus, config.corpus_format)
+    first, *rest = _corpus_ranges(config)
+    children = []  # (pid, lines file, range) of each child not yet waited for
     out = Path(config.out)
     with out.open("w", encoding="utf-8") as fh:
         try:
             fh.write(_comment_line(config) + "\n")
-            with _naming_the_document(config, tokenizer):
-                for line in bpe.encode_lines(tokenizer, (doc.text for doc in docs)):
-                    fh.write(line + "\n")
+            for part in rest:
+                _fork_encoder(config, tokenizer, part, children)
+            _encode_range(config, tokenizer, first, fh)
+            fh.flush()
+            while children:
+                pid, lines, (start, _, _) = children[0]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                with lines:
+                    lines.seek(0)
+                    if status == 1:
+                        raise ValueError(lines.read().decode("utf-8"))
+                    if status:
+                        raise RuntimeError(f"{config.corpus}: the process that encoded it "
+                                           f"from byte {start} ended with status {status}")
+                    shutil.copyfileobj(lines, fh.buffer)
         except BaseException:
+            for pid, lines, _ in children:  # kill and reap each child not yet waited for
+                lines.close()
+                try:
+                    if not os.waitpid(pid, os.WNOHANG)[0]:  # it has not ended
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+                except ChildProcessError:  # reaped already
+                    pass
             # A failed run leaves no token file, not a partial one. Only a
             # regular file is removed: --out may name a device or a link.
             fh.close()
@@ -215,6 +258,94 @@ def _cmd_encode(config: RunConfig) -> int:
                 out.unlink()
             raise
     return 0
+
+
+def _corpus_ranges(config: RunConfig) -> list[tuple[int, int | None, int]]:
+    """The byte ranges that `encode` splits its corpus into, each as
+    (start, stop, number of the line at start); see `read_documents`.
+
+    A plaintext corpus in a regular file is split, on a host that can
+    fork, into min(CPUs, size // MIN_PART_BYTES) ranges of about equal
+    size, each ending just after the first LF past its share. Any other
+    corpus is one range: jsonl, whose duplicate ids need every earlier
+    line, a pipe, or a file too small for two ranges.
+    """
+    corpus = Path(config.corpus)
+    if config.corpus_format != "plaintext-lines" or not hasattr(os, "fork") or not corpus.is_file():
+        return [(0, None, 1)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    size = corpus.stat().st_size
+    parts = min(cpus, size // MIN_PART_BYTES)
+    starts, lines = [0], [1]
+    at = lfs = 0  # where the next block starts, and the LFs before it
+    with corpus.open("rb") as fh:
+        while len(starts) < parts and (block := fh.read(READ_BLOCK_BYTES)):
+            while len(starts) < parts:
+                # The next range starts after the first LF at or past its share.
+                share = max(len(starts) * size // parts, starts[-1], at)
+                cut = block.find(b"\n", share - at) + 1
+                if not cut or at + cut == size:
+                    break
+                starts.append(at + cut)
+                lines.append(lfs + block.count(b"\n", 0, cut) + 1)
+            lfs += block.count(b"\n")
+            at += len(block)
+    return list(zip(starts, [*starts[1:], None], lines))
+
+
+def _encode_range(config: RunConfig, tokenizer, part, fh) -> None:
+    """Write the encoded lines of the documents in one byte range of the corpus."""
+    from .bpe import encode_lines
+
+    docs = read_documents(config.corpus, config.corpus_format, *part)
+    with _naming_the_document(config, tokenizer, part):
+        for line in encode_lines(tokenizer, (doc.text for doc in docs)):
+            fh.write(line + "\n")
+
+
+def _fork_encoder(config: RunConfig, tokenizer, part, children: list) -> None:
+    """Fork a child that encodes a byte range of the corpus into an
+    anonymous temporary file, and add (pid, file, range) to `children`.
+
+    The child leaves only through os._exit: with status 0 when the file
+    holds its lines, 1 when it holds the message of the fault that `run`
+    would report. It ignores SIGINT: on an interrupt the parent kills it.
+    """
+    import io
+    import signal
+    import tempfile
+
+    lines = tempfile.TemporaryFile()
+    # SIGINT is blocked across the fork, so that an interrupt reaches
+    # neither the child before it ignores SIGINT nor the parent before it
+    # records the child.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid:
+            children.append((pid, lines, part))
+        else:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    if pid:
+        return
+    status = 2
+    try:
+        text = io.TextIOWrapper(lines, encoding="utf-8")
+        _encode_range(config, tokenizer, part, text)
+        text.flush()
+        status = 0
+    except _REPORTED as e:
+        os.ftruncate(lines.fileno(), 0)
+        os.pwrite(lines.fileno(), str(_message(e)).encode("utf-8"), 0)
+        status = 1
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(status)
 
 
 def _cmd_metrics(config: RunConfig) -> int:
@@ -261,7 +392,7 @@ def _cmd_export_curve(config: RunConfig) -> int:
 def _cmd_correlate(config: RunConfig) -> int:
     _require(config, "csv_path", "x_col", "y_col", "out")
     xs, ys = [], []
-    _, rows = read_commented_csv(read_text(config.csv_path))
+    _, rows = read_commented_csv(read_text(config.csv_path), config.csv_path)
     for lineno, row in rows:
         for col, dest in ((config.x_col, xs), (config.y_col, ys)):
             if col not in row or row[col] is None:
@@ -324,11 +455,7 @@ def load_metric_dir(path) -> dict[tuple[str, str], MetricVector]:
         raise ValueError(f"{path} is not a directory")
     metrics = {}
     for child in sorted(path.glob("*.json")):
-        text = read_text(child)
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as e:  # digit limit, deep nesting
-            raise ValueError(f"{child}: malformed JSON: {getattr(e, 'msg', e)}") from e
+        data = parse_json(read_text(child), child)
         if not isinstance(data, dict):
             raise ValueError(f"{child}: record is not a JSON object")
         if "tokenizer" not in data or "language" not in data:
@@ -442,11 +569,14 @@ def run(config: RunConfig) -> int:
         return 2
     try:
         return _COMMANDS[config.command](config)
-    except (ValueError, KeyError, OSError, RuntimeError) as e:
-        # str() of a KeyError is the repr of its message, quotes and all.
-        message = e.args[0] if isinstance(e, KeyError) and e.args else e
-        print(f"tokscope: error: {message}", file=sys.stderr)
+    except _REPORTED as e:
+        print(f"tokscope: error: {_message(e)}", file=sys.stderr)
         return 1
+
+
+def _message(e: BaseException):
+    # str() of a KeyError is the repr of its message, quotes and all.
+    return e.args[0] if isinstance(e, KeyError) and e.args else e
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -149,7 +149,8 @@ def load_corpus(path, format: str = "plaintext-lines") -> list[Document]:
     return list(read_documents(path, format))
 
 
-def read_documents(path, format: str = "plaintext-lines") -> Iterator[Document]:
+def read_documents(path, format: str = "plaintext-lines", start: int = 0,
+                   stop: int | None = None, first_line: int = 1) -> Iterator[Document]:
     """Yield the documents of a plaintext-lines or jsonl file, reading one
     line at a time.
 
@@ -161,13 +162,24 @@ def read_documents(path, format: str = "plaintext-lines") -> Iterator[Document]:
     raises, with their position in the whole file. jsonl text with a
     lone surrogate (an escape such as "\\udc80") has no UTF-8 form and is
     refused, naming its line.
+
+    Only the lines from byte `start` up to byte `stop` (the end of the
+    file if None) are read; `start` and `stop` must each be 0, the end of
+    the file or just after an LF. `first_line` is the number of the line
+    at `start`, so line numbers and byte positions stay those of the whole
+    file. Duplicate jsonl ids are found only within the range.
     """
     with Path(path).open("rb") as fh:
         if format not in ("plaintext-lines", "jsonl"):
             raise ValueError(f"unknown corpus format {format!r}")
+        if start:
+            fh.seek(start)
+        end = math.inf if stop is None else stop
         seen_ids: set[str] = set()
-        offset = 0
-        for lineno, raw in enumerate(fh, start=1):
+        offset = start
+        for lineno, raw in enumerate(fh, start=first_line):
+            if offset >= end:
+                return
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:
@@ -180,11 +192,7 @@ def read_documents(path, format: str = "plaintext-lines") -> Iterator[Document]:
                 continue
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as e:  # digit limit, deep nesting
-                raise ValueError(
-                    f"{path} line {lineno}: malformed JSON: {getattr(e, 'msg', e)}") from e
+            record = parse_json(line, path, lineno)
             if not isinstance(record, dict) or "text" not in record:
                 raise ValueError(f'{path} line {lineno}: record lacks a "text" field')
             text = record["text"]
@@ -202,6 +210,16 @@ def read_documents(path, format: str = "plaintext-lines") -> Iterator[Document]:
                 raise ValueError(f"{path} line {lineno}: duplicate document id {doc_id!r}")
             seen_ids.add(doc_id)
             yield Document(id=doc_id, text=text)
+
+
+def parse_json(text: str, source, line: int | None = None):
+    """The value of a JSON text; malformed JSON raises ValueError naming
+    `source` and, if given, the line."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # digit limit, deep nesting
+        where = source if line is None else f"{source} line {line}"
+        raise ValueError(f"{where}: malformed JSON: {getattr(e, 'msg', e)}") from e
 
 
 def _decode_error(path, e: UnicodeDecodeError, offset: int) -> ValueError:
@@ -414,12 +432,13 @@ def load_bundled_fixture() -> DownstreamFixture:
     return _parse_fixture(ref.read_bytes().decode("utf-8"), BUNDLED_SCORES)
 
 
-def read_commented_csv(text: str) -> tuple[list[str], Iterator[tuple[int, dict]]]:
+def read_commented_csv(text: str, source) -> tuple[list[str], Iterator[tuple[int, dict]]]:
     """The header and (line number, row) pairs of CSV text with "#" comment lines.
 
     A line that starts with "#" is skipped. Line numbers are physical:
     they count the comment lines too, and a row that spans lines gets the
-    number of its last line.
+    number of its last line. A header that names a column twice raises
+    ValueError naming `source`, the file the text was read from.
     """
     lineno = 0
 
@@ -430,11 +449,15 @@ def read_commented_csv(text: str) -> tuple[list[str], Iterator[tuple[int, dict]]
                 yield line
 
     reader = csv.DictReader(lines())
-    return reader.fieldnames or [], ((lineno, row) for row in reader)
+    header = reader.fieldnames or []
+    for i, column in enumerate(header):
+        if column in header[:i]:
+            raise ValueError(f"{source}: column {column!r} appears twice in the header")
+    return header, ((lineno, row) for row in reader)
 
 
 def _parse_fixture(text: str, source: str) -> DownstreamFixture:
-    header, rows = read_commented_csv(text)
+    header, rows = read_commented_csv(text, source)
     missing = set(FIXTURE_COLUMNS) - set(header)
     if missing:
         raise ValueError(f"{source}: missing columns: {sorted(missing)}")

@@ -22,6 +22,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -45,6 +46,7 @@ from tokscope import (
     spearman,
 )
 from tokscope import bpe, corpus_io
+import tokscope.cli as tokscope_cli
 from tokscope.bpe import BATCH_CHARS
 from tokscope.cli import _build_parser, config_from_args, load_metric_dir
 
@@ -1024,6 +1026,184 @@ class TestEncode:
         assert len(seq) > 0
 
 
+def split_encoding(monkeypatch, cpus: int, part_bytes: int) -> None:
+    """Make `encode` see `cpus` CPUs and split at `part_bytes` bytes a range."""
+    monkeypatch.setattr(tokscope_cli, "MIN_PART_BYTES", part_bytes)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def assert_nothing_left(out: Path, fds: list) -> None:
+    """No --out file, no child process and no open temporary file remain."""
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+def open_fds() -> list:
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+# Lines that a cut can fall next to: CRLF, empty and blank lines, lines off
+# the word path (double spaces, tabs, leading or trailing blanks) and
+# multibyte characters at either end.
+RANGE_LINES = st.lists(
+    st.one_of(
+        st.text(st.sampled_from("ab  \t\ré猫🙂"), max_size=12),
+        st.sampled_from(["the dog saw the fox", "猫", "🙂 the", "é\r", "\r", " ", ""]),
+    ),
+    max_size=40,
+)
+
+
+class TestEncodeRanges:
+    """`encode` splits a plaintext corpus file into byte ranges, one process each."""
+
+    def encode(self, trained_bpe, corpus, out) -> int:
+        _, vocab, merges = trained_bpe
+        return cli("encode", "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+                   "--no-timestamp", "--out", out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lines=RANGE_LINES, cpus=st.integers(2, 4), part_bytes=st.integers(1, 64),
+           crlf=st.booleans())
+    def test_ranges_write_what_one_range_writes(self, trained_bpe, lines, cpus, part_bytes,
+                                                crlf):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+            corpus, one, split = (Path(tmp) / name for name in ("c.txt", "one.tok", "split.tok"))
+            data = "".join(line + ("\r\n" if crlf else "\n") for line in lines).encode()
+            corpus.write_bytes(data)
+            split_encoding(monkeypatch, 1, part_bytes)
+            assert self.encode(trained_bpe, corpus, one) == 0
+            split_encoding(monkeypatch, cpus, part_bytes)
+            ranges = tokscope_cli._corpus_ranges(RunConfig(command="encode", corpus=corpus))
+            assert self.encode(trained_bpe, corpus, split) == 0
+            assert split.read_bytes() == one.read_bytes()
+        # The ranges cover the file in order, each but the last ends just
+        # after an LF, and each knows the number of its first line.
+        assert len(ranges) <= max(1, min(cpus, len(data) // part_bytes))
+        starts = [start for start, _, _ in ranges]
+        assert starts[0] == 0 and [stop for _, stop, _ in ranges] == [*starts[1:], None]
+        for start, _, first_line in ranges[1:]:
+            assert data[start - 1:start] == b"\n" and 0 < start < len(data)
+            assert first_line == data[:start].count(b"\n") + 1
+
+    def test_each_range_ends_after_the_first_lf_past_its_share(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"aaaaaaaaa\n" * 100)
+        split_encoding(monkeypatch, 4, 100)
+        assert tokscope_cli._corpus_ranges(RunConfig(command="encode", corpus=corpus)) == [
+            (0, 260, 1), (260, 510, 27), (510, 760, 52), (760, None, 77)]
+
+    @pytest.mark.parametrize("case", ["jsonl", "pipe", "small", "one-cpu", "no-fork"])
+    def test_inputs_that_stay_in_one_range(self, tmp_path, monkeypatch, case):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b'{"text": "a"}\n' * 100)
+        split_encoding(monkeypatch, 1 if case == "one-cpu" else 4,
+                       800 if case == "small" else 100)
+        if case == "pipe":
+            corpus = tmp_path / "fifo"
+            os.mkfifo(corpus)
+        if case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        config = RunConfig(command="encode", corpus=corpus,
+                           corpus_format="jsonl" if case == "jsonl" else "plaintext-lines")
+        assert tokscope_cli._corpus_ranges(config) == [(0, None, 1)]
+
+    @pytest.mark.parametrize("line", [3, 4000, 7000])
+    @pytest.mark.parametrize("fault, message", [
+        pytest.param("ab", " document {line}: " + SYMBOL_B_MISSING, id="symbol"),
+        pytest.param("\udcff", ": invalid UTF-8: 'utf-8' codec can't decode byte 0xff in "
+                     "position {offset}: invalid start byte", id="utf-8"),
+    ])
+    def test_one_fault_fails_as_in_one_process(
+            self, tmp_path, capsys, monkeypatch, line, fault, message):
+        vocab, merges = tmp_path / "v.json", tmp_path / "m.txt"
+        vocab.write_text('{"a": 0}', encoding="utf-8")
+        merges.write_text("", encoding="utf-8")
+        lines = ["a" * 9] * 8000
+        lines[line - 1] = fault
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        expected = f"tokscope: error: {corpus}" + message.format(
+            line=line, offset=10 * (line - 1)) + "\n"
+        out = tmp_path / "enc.txt"
+        fds = open_fds()
+        for cpus in (1, 3):
+            split_encoding(monkeypatch, cpus, 10_000)
+            assert cli("encode", "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+                       "--out", out) == 1
+            assert capsys.readouterr().err == expected
+            assert_nothing_left(out, fds)
+
+    @pytest.mark.parametrize("first, later, message", [
+        pytest.param("ab", "\udcff", " document 2: " + SYMBOL_B_MISSING, id="symbol-first"),
+        pytest.param("\udcff", "ab", ": invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                     "in position 10: invalid start byte", id="utf-8-first"),
+    ])
+    def test_faults_in_two_ranges_report_the_earlier(
+            self, tmp_path, capsys, monkeypatch, first, later, message):
+        vocab, merges = tmp_path / "v.json", tmp_path / "m.txt"
+        vocab.write_text('{"a": 0}', encoding="utf-8")
+        merges.write_text("", encoding="utf-8")
+        lines = ["a" * 9] * 8000
+        lines[1], lines[6000] = first, later
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        split_encoding(monkeypatch, 2, 10_000)
+        assert len(tokscope_cli._corpus_ranges(RunConfig(command="encode", corpus=corpus))) == 2
+        out = tmp_path / "enc.txt"
+        fds = open_fds()
+        assert cli("encode", "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"tokscope: error: {corpus}{message}\n"
+        assert_nothing_left(out, fds)
+
+    @pytest.mark.parametrize("crash, status", [("raise", 2), ("kill", -9)])
+    def test_a_child_that_crashes_fails_named(
+            self, tmp_path, capsys, monkeypatch, trained_bpe, crash, status):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"the dog saw the fox\n" * 100)
+        parent, encode_range = os.getpid(), tokscope_cli._encode_range
+
+        def crashing(config, tokenizer, part, fh):
+            if os.getpid() != parent:
+                if crash == "kill":
+                    os.kill(os.getpid(), 9)
+                raise TypeError("a bug")
+            encode_range(config, tokenizer, part, fh)
+
+        monkeypatch.setattr(tokscope_cli, "_encode_range", crashing)
+        split_encoding(monkeypatch, 2, 1000)
+        out = tmp_path / "enc.txt"
+        fds = open_fds()
+        assert self.encode(trained_bpe, corpus, out) == 1
+        assert capsys.readouterr().err == (
+            f"tokscope: error: {corpus}: the process that encoded it from byte 1020 "
+            f"ended with status {status}\n")
+        assert_nothing_left(out, fds)
+
+    def test_interrupt_kills_and_reaps_the_children(self, tmp_path, monkeypatch, trained_bpe):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"the dog saw the fox\n" * 100)
+        parent = os.getpid()
+
+        def interrupted(config, tokenizer, part, fh):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child still at work
+
+        monkeypatch.setattr(tokscope_cli, "_encode_range", interrupted)
+        split_encoding(monkeypatch, 4, 100)
+        out = tmp_path / "enc.txt"
+        fds = open_fds()
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.encode(trained_bpe, corpus, out)
+        assert time.monotonic() - start < 30
+        assert_nothing_left(out, fds)
+
+
 class TestCorrelate:
     def write_csv(self, path, rows, header="x,y"):
         path.write_text(
@@ -1107,6 +1287,16 @@ class TestCorrelate:
                    "--out", tmp_path / "corr.json")
         assert code == 1
         assert "no column" in capsys.readouterr().err
+
+    def test_column_named_twice_fails_named(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("x,y,x\n1,2,5\n2,1,6\n3,3,7\n", encoding="utf-8")
+        out = tmp_path / "corr.json"
+        assert cli("correlate", "--csv", csv_path, "--x-col", "x", "--y-col", "y",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"tokscope: error: {csv_path}: column 'x' appears twice in the header\n")
+        assert not out.exists()
 
     def test_unknown_method_via_config(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
@@ -1398,6 +1588,7 @@ class TestRunDispatch:
         proc = fresh_python(
             "-c", "import sys; from tokscope.cli import main; "
             "print(sorted(m for m in ('regex', 'tokscope.bpe') if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
     def test_cli_import_leaves_predictor_and_ranking_unloaded(self):
@@ -1406,7 +1597,16 @@ class TestRunDispatch:
             "-c", "import sys; import tokscope.cli; "
             "print(sorted(m for m in ('tokscope.predictor', 'tokscope.ranking') "
             "if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_multiprocessing_unloaded(self):
+        # encode forks its workers itself and never needs multiprocessing.
+        proc = fresh_python(
+            "-c", "import sys; import tokscope.cli; "
+            "print('multiprocessing' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_model_choices_are_the_predictor_kinds(self):
         from tokscope.predictor import MODEL_KINDS

@@ -506,6 +506,18 @@ class TestDownstreamFixture:
         with pytest.raises(ValueError, match="^" + message + "$"):
             load_downstream_fixture(path)
 
+    def test_column_named_twice_rejected(self, tmp_path):
+        # csv.DictReader would keep the last of the two metricx cells.
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "tokenizer,scale,language,direction,metricx,chrf,metricx\n"
+            "alpha,1B,aa,en-xx,10.25,40,99\n",
+            encoding="utf-8",
+        )
+        message = re.escape(f"{path}: column 'metricx' appears twice in the header")
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            load_downstream_fixture(path)
+
     def test_negative_score_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text(

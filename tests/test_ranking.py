@@ -247,6 +247,20 @@ class TestGroundTruth:
         assert ranking.scores[0] == pytest.approx(7.135)
         assert list(ranking.scores) == sorted(ranking.scores)
 
+    @pytest.mark.parametrize("language, tau, p", [
+        ("cs", 0.600, 0.136), ("de", 0.733, 0.056), ("ru", 0.867, 0.017), ("zh", 0.867, 0.017),
+    ])
+    def test_orders_agree_across_model_scales(self, language, tau, p):
+        # The bundled scores rank the tokenizers much the same at 350M and
+        # at 2.7B: a small model predicts the larger one's order.
+        fx = load_bundled_fixture()
+        result = evaluate_ranking(ground_truth_ranking(fx, language, "350M"),
+                                  ground_truth_ranking(fx, language, "2.7B"),
+                                  alternative="two-sided")
+        assert result.n == 6
+        assert result.coefficient == pytest.approx(tau, abs=5e-4)
+        assert result.p_value == pytest.approx(p, abs=5e-4)
+
     def test_missing_cell_reported(self):
         fx = load_bundled_fixture()
         with pytest.raises(KeyError, match="no score"):
