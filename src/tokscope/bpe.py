@@ -266,15 +266,22 @@ def _words(text: str) -> list[str] | None:
 def _batches(texts: Iterable[str]) -> Iterator[list]:
     """Batches of texts, each text with its words (None off the word
     path). The list is emptied and refilled for the next batch, so only
-    one batch is held at a time."""
+    one batch is held at a time. When reading a text fails, the texts
+    read before it are yielded as a last batch before the error is
+    raised, so a fault in an earlier text is found first."""
     batch, chars = [], 0
-    for text in texts:
-        batch.append((text, _words(text)))
-        chars += len(text)
-        if chars >= BATCH_CHARS:
+    try:
+        for text in texts:
+            batch.append((text, _words(text)))
+            chars += len(text)
+            if chars >= BATCH_CHARS:
+                yield batch
+                batch.clear()
+                chars = 0
+    except Exception:
+        if batch:
             yield batch
-            batch.clear()
-            chars = 0
+        raise
     if batch:
         yield batch
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .corpus_io import (
-    READ_BLOCK_BYTES,
     TokenSequence,
     load_bundled_fixture,
     load_downstream_fixture,
@@ -187,22 +186,47 @@ def _count_tokenizer_inputs(config: RunConfig) -> tuple[TokenFrequencyTable, str
 
 
 @contextmanager
-def _naming_the_document(config: RunConfig, tokenizer, part=(0, None, 1)):
+def _naming_the_document(config: RunConfig, tokenizer, stop: int | None = None):
     """A failure to encode a document of the corpus names the corpus and
     the first document that holds a byte with no one-byte token, which is
-    found by reading the corpus (or its byte range `part`, see
-    `_corpus_ranges`) again."""
+    found by reading the corpus again from its top up to byte `stop`, the
+    end of the failing range of `_corpus_ranges` (no earlier range holds
+    a fault, see `_cmd_encode`), so its number is its line in the file."""
     from .bpe import UnknownSymbolError, _unknown_symbol
 
     try:
         yield
     except UnknownSymbolError as e:
-        for doc in read_documents(config.corpus, config.corpus_format, *part):
+        for doc in read_documents(config.corpus, config.corpus_format, 0, stop):
             if message := _unknown_symbol(tokenizer, doc.text):
                 raise ValueError(f"{config.corpus} document {doc.id}: {message}") from None
         raise ValueError(f"{config.corpus}: {e}") from None  # a pipe reads as empty again
 
 
+@contextmanager
+def _sigterm_raising():
+    """Within the block (or the call it decorates) SIGTERM raises
+    SystemExit(128 + SIGTERM), as SIGINT raises KeyboardInterrupt, so that
+    the block's cleanup runs. Python takes signal handlers only in the
+    main thread; elsewhere SIGTERM keeps its handler."""
+    import signal
+    import threading
+
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def terminate(signum, frame):
+        raise SystemExit(128 + signum)
+
+    previous = signal.signal(signal.SIGTERM, terminate)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+@_sigterm_raising()
 def _cmd_encode(config: RunConfig) -> int:
     """Write the token file of the corpus: one line of ids per document.
 
@@ -211,7 +235,8 @@ def _cmd_encode(config: RunConfig) -> int:
     first range into --out itself, then waits for the children in order
     and appends the lines each wrote, so the file is the one a single
     process writes. The first range that holds a fault reports it. A
-    failed or interrupted run leaves no --out file and no child.
+    failed or interrupted run, or one ended by SIGTERM, leaves no --out
+    file and no child.
     """
     _require(config, "vocab", "merges", "corpus", "out")
     import shutil
@@ -231,7 +256,7 @@ def _cmd_encode(config: RunConfig) -> int:
             _encode_range(config, tokenizer, first, fh)
             fh.flush()
             while children:
-                pid, lines, (start, _, _) = children[0]
+                pid, lines, (start, _) = children[0]
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del children[0]
                 with lines:
@@ -260,37 +285,32 @@ def _cmd_encode(config: RunConfig) -> int:
     return 0
 
 
-def _corpus_ranges(config: RunConfig) -> list[tuple[int, int | None, int]]:
+def _corpus_ranges(config: RunConfig) -> list[tuple[int, int | None]]:
     """The byte ranges that `encode` splits its corpus into, each as
-    (start, stop, number of the line at start); see `read_documents`.
+    (start, stop); see `read_documents`.
 
     A plaintext corpus in a regular file is split, on a host that can
     fork, into min(CPUs, size // MIN_PART_BYTES) ranges of about equal
-    size, each ending just after the first LF past its share. Any other
-    corpus is one range: jsonl, whose duplicate ids need every earlier
-    line, a pipe, or a file too small for two ranges.
+    size, each ending just after the first LF past its share, which is
+    found by seeking there and reading one line. Any other corpus is one
+    range: jsonl, whose duplicate ids need every earlier line, a pipe, or
+    a file too small for two ranges.
     """
     corpus = Path(config.corpus)
     if config.corpus_format != "plaintext-lines" or not hasattr(os, "fork") or not corpus.is_file():
-        return [(0, None, 1)]
+        return [(0, None)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     size = corpus.stat().st_size
     parts = min(cpus, size // MIN_PART_BYTES)
-    starts, lines = [0], [1]
-    at = lfs = 0  # where the next block starts, and the LFs before it
+    starts = [0]
     with corpus.open("rb") as fh:
-        while len(starts) < parts and (block := fh.read(READ_BLOCK_BYTES)):
-            while len(starts) < parts:
-                # The next range starts after the first LF at or past its share.
-                share = max(len(starts) * size // parts, starts[-1], at)
-                cut = block.find(b"\n", share - at) + 1
-                if not cut or at + cut == size:
-                    break
-                starts.append(at + cut)
-                lines.append(lfs + block.count(b"\n", 0, cut) + 1)
-            lfs += block.count(b"\n")
-            at += len(block)
-    return list(zip(starts, [*starts[1:], None], lines))
+        while len(starts) < parts:
+            fh.seek(max(len(starts) * size // parts, starts[-1]))
+            fh.readline()
+            if fh.tell() == size:  # no LF before the last byte
+                break
+            starts.append(fh.tell())
+    return list(zip(starts, [*starts[1:], None]))
 
 
 def _encode_range(config: RunConfig, tokenizer, part, fh) -> None:
@@ -298,7 +318,7 @@ def _encode_range(config: RunConfig, tokenizer, part, fh) -> None:
     from .bpe import encode_lines
 
     docs = read_documents(config.corpus, config.corpus_format, *part)
-    with _naming_the_document(config, tokenizer, part):
+    with _naming_the_document(config, tokenizer, part[1]):
         for line in encode_lines(tokenizer, (doc.text for doc in docs)):
             fh.write(line + "\n")
 
@@ -309,23 +329,25 @@ def _fork_encoder(config: RunConfig, tokenizer, part, children: list) -> None:
 
     The child leaves only through os._exit: with status 0 when the file
     holds its lines, 1 when it holds the message of the fault that `run`
-    would report. It ignores SIGINT: on an interrupt the parent kills it.
+    would report. It ignores SIGINT and dies of SIGTERM: on either the
+    parent kills it.
     """
     import io
     import signal
     import tempfile
 
     lines = tempfile.TemporaryFile()
-    # SIGINT is blocked across the fork, so that an interrupt reaches
-    # neither the child before it ignores SIGINT nor the parent before it
-    # records the child.
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    # SIGINT and SIGTERM are blocked across the fork, so that neither
+    # reaches the child before it sets its own handlers nor the parent
+    # before it records the child.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
     try:
         pid = os.fork()
         if pid:
             children.append((pid, lines, part))
         else:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     if pid:

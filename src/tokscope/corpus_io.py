@@ -150,7 +150,7 @@ def load_corpus(path, format: str = "plaintext-lines") -> list[Document]:
 
 
 def read_documents(path, format: str = "plaintext-lines", start: int = 0,
-                   stop: int | None = None, first_line: int = 1) -> Iterator[Document]:
+                   stop: int | None = None) -> Iterator[Document]:
     """Yield the documents of a plaintext-lines or jsonl file, reading one
     line at a time.
 
@@ -165,9 +165,9 @@ def read_documents(path, format: str = "plaintext-lines", start: int = 0,
 
     Only the lines from byte `start` up to byte `stop` (the end of the
     file if None) are read; `start` and `stop` must each be 0, the end of
-    the file or just after an LF. `first_line` is the number of the line
-    at `start`, so line numbers and byte positions stay those of the whole
-    file. Duplicate jsonl ids are found only within the range.
+    the file or just after an LF. Lines are numbered from 1 at `start`,
+    while byte positions in errors stay those of the whole file.
+    Duplicate jsonl ids are found only within the range.
     """
     with Path(path).open("rb") as fh:
         if format not in ("plaintext-lines", "jsonl"):
@@ -177,7 +177,7 @@ def read_documents(path, format: str = "plaintext-lines", start: int = 0,
         end = math.inf if stop is None else stop
         seen_ids: set[str] = set()
         offset = start
-        for lineno, raw in enumerate(fh, start=first_line):
+        for lineno, raw in enumerate(fh, start=1):
             if offset >= end:
                 return
             try:

@@ -135,7 +135,7 @@ def _stratified_folds(y: np.ndarray, k: int) -> list[np.ndarray]:
 def _splits(y: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(held-out, training) indices for each nonempty stratified fold."""
     everything = np.arange(len(y))
-    return [(held, np.setdiff1d(everything, held)) for held in _stratified_folds(y, k) if len(held)]
+    return [(held, np.delete(everything, held)) for held in _stratified_folds(y, k) if len(held)]
 
 
 def _fold_f1(predicted: np.ndarray, actual: np.ndarray) -> float:

@@ -1079,21 +1079,26 @@ class TestEncodeRanges:
             ranges = tokscope_cli._corpus_ranges(RunConfig(command="encode", corpus=corpus))
             assert self.encode(trained_bpe, corpus, split) == 0
             assert split.read_bytes() == one.read_bytes()
-        # The ranges cover the file in order, each but the last ends just
-        # after an LF, and each knows the number of its first line.
-        assert len(ranges) <= max(1, min(cpus, len(data) // part_bytes))
-        starts = [start for start, _, _ in ranges]
-        assert starts[0] == 0 and [stop for _, stop, _ in ranges] == [*starts[1:], None]
-        for start, _, first_line in ranges[1:]:
-            assert data[start - 1:start] == b"\n" and 0 < start < len(data)
-            assert first_line == data[:start].count(b"\n") + 1
+        # The ranges cover the file in order, and range k starts just after
+        # the first LF at or past max(k * size // parts, the start of range
+        # k - 1); the ranges end where no LF lies before the last byte.
+        parts = min(cpus, len(data) // part_bytes)
+        starts = [start for start, _ in ranges]
+        assert starts[0] == 0 and [stop for _, stop in ranges] == [*starts[1:], None]
+        expected = [0]
+        while len(expected) < parts:
+            cut = data.find(b"\n", max(len(expected) * len(data) // parts, expected[-1])) + 1
+            if not cut or cut == len(data):
+                break
+            expected.append(cut)
+        assert starts == expected
 
     def test_each_range_ends_after_the_first_lf_past_its_share(self, tmp_path, monkeypatch):
         corpus = tmp_path / "c.txt"
         corpus.write_bytes(b"aaaaaaaaa\n" * 100)
         split_encoding(monkeypatch, 4, 100)
         assert tokscope_cli._corpus_ranges(RunConfig(command="encode", corpus=corpus)) == [
-            (0, 260, 1), (260, 510, 27), (510, 760, 52), (760, None, 77)]
+            (0, 260), (260, 510), (510, 760), (760, None)]
 
     @pytest.mark.parametrize("case", ["jsonl", "pipe", "small", "one-cpu", "no-fork"])
     def test_inputs_that_stay_in_one_range(self, tmp_path, monkeypatch, case):
@@ -1108,7 +1113,7 @@ class TestEncodeRanges:
             monkeypatch.delattr(os, "fork")
         config = RunConfig(command="encode", corpus=corpus,
                            corpus_format="jsonl" if case == "jsonl" else "plaintext-lines")
-        assert tokscope_cli._corpus_ranges(config) == [(0, None, 1)]
+        assert tokscope_cli._corpus_ranges(config) == [(0, None)]
 
     @pytest.mark.parametrize("line", [3, 4000, 7000])
     @pytest.mark.parametrize("fault, message", [
@@ -1159,6 +1164,32 @@ class TestEncodeRanges:
         assert capsys.readouterr().err == f"tokscope: error: {corpus}{message}\n"
         assert_nothing_left(out, fds)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("data, message", [
+        pytest.param(b"aaaaaaaaa\n" * 130_999 + b"ab\n" + b"aaaaaaaaa\n" * 99 + b"\xff\n"
+                     + b"aaaaaaaaa\n" * 118_900, " document 131000: " + SYMBOL_B_MISSING,
+                     id="in-a-later-range"),
+        pytest.param(b"a\nab\na\n\xff\n", " document 2: " + SYMBOL_B_MISSING, id="in-one-batch"),
+    ])
+    def test_the_first_fault_in_the_file_is_reported(
+            self, tmp_path, capsys, monkeypatch, cpus, data, message):
+        # An unknown symbol and, after it, a bad byte. Both lie in one batch
+        # of texts in the short corpus, and in the long one at 2 CPUs, where
+        # the later range's batches start at its first line: the texts read
+        # before a bad byte are encoded before it is reported.
+        vocab, merges = tmp_path / "v.json", tmp_path / "m.txt"
+        vocab.write_text('{"a": 0}', encoding="utf-8")
+        merges.write_text("", encoding="utf-8")
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(data)
+        split_encoding(monkeypatch, cpus, tokscope_cli.MIN_PART_BYTES)
+        out = tmp_path / "enc.txt"
+        fds = open_fds()
+        assert cli("encode", "--vocab", vocab, "--merges", merges, "--corpus", corpus,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"tokscope: error: {corpus}{message}\n"
+        assert_nothing_left(out, fds)
+
     @pytest.mark.parametrize("crash, status", [("raise", 2), ("kill", -9)])
     def test_a_child_that_crashes_fails_named(
             self, tmp_path, capsys, monkeypatch, trained_bpe, crash, status):
@@ -1202,6 +1233,43 @@ class TestEncodeRanges:
             self.encode(trained_bpe, corpus, out)
         assert time.monotonic() - start < 30
         assert_nothing_left(out, fds)
+
+    def test_sigterm_kills_and_reaps_the_children(self, tmp_path, trained_bpe):
+        # The parent sends itself SIGTERM once it has forked, while its
+        # children are still at work.
+        _, vocab, merges = trained_bpe
+        corpus, out = tmp_path / "c.txt", tmp_path / "enc.txt"
+        corpus.write_bytes(b"the dog saw the fox\n" * 100)
+        script = (
+            "import os, signal, sys, time\n"
+            "import tokscope.cli as cli\n"
+            "cli.MIN_PART_BYTES = 100\n"
+            "os.sched_getaffinity = lambda pid: set(range(4))\n"
+            "parent = os.getpid()\n"
+            "def terminated(config, tokenizer, part, fh):\n"
+            "    if os.getpid() == parent:\n"
+            "        os.kill(parent, signal.SIGTERM)\n"
+            "    time.sleep(60)\n"
+            "cli._encode_range = terminated\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        package_root = str(Path(tokscope.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "encode", "--vocab", str(vocab), "--merges",
+             str(merges), "--corpus", str(corpus), "--out", str(out)],
+            stderr=subprocess.PIPE, start_new_session=True,
+            env={**os.environ, "PYTHONPATH": package_root})
+        try:
+            assert (proc.communicate(timeout=15)[1], proc.returncode) == (b"", 128 + 15)
+            assert not out.exists()
+            deadline = time.monotonic() + 5
+            with pytest.raises(ProcessLookupError):  # no process is left in its group
+                while time.monotonic() < deadline:
+                    os.killpg(proc.pid, 0)
+                    time.sleep(0.05)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, 9)
+            proc.wait()
 
 
 class TestCorrelate:
@@ -1639,6 +1707,19 @@ class TestRunDispatch:
             env={**os.environ, "PYTHONPATH": package_root},
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_predict_leaves_numpy_ma_unloaded(self, synth_cli_world, tmp_path):
+        # np.setdiff1d would load numpy.ma through np.unique, about 10 ms of
+        # import in each predict process.
+        metrics_dir, fixture = synth_cli_world
+        proc = fresh_python(
+            "-c", "import sys; from tokscope.cli import main; "
+            f"code = main(['predict', '--fixture', {str(fixture)!r}, '--metrics-dir', "
+            f"{str(metrics_dir)!r}, '--scale', {SYNTH_SCALE!r}, '--cv-folds', '2', "
+            f"'--out', {str(tmp_path / 'p.json')!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False"
 
 
 def fresh_python(*args) -> subprocess.CompletedProcess:
