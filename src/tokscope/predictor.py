@@ -25,7 +25,8 @@ regularization; a hyperparameter the caller gives replaces its grid
 values. Every fit starts from zero. The search's fold fits at the chosen
 value give the out-of-fold decisions that calibrate the SVMs' Platt
 scaling. decision_value applies the same decision function to a fitted
-model.
+model. One held-out protocol, _leave_one_out, serves the tokenizer and
+the language protocols: one dataset, and one fit per held-out unit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -519,31 +520,29 @@ def build_pairwise_dataset(
     rng = np.random.default_rng(seed)
     examples = []
     for language in languages:
-        for a_idx in range(len(tokenizers)):
-            for b_idx in range(a_idx + 1, len(tokenizers)):
-                first, second = tokenizers[a_idx], tokenizers[b_idx]
-                if rng.random() < 0.5:
-                    first, second = second, first
-                try:
-                    feats = vectors[(first, language)] - vectors[(second, language)]
-                except KeyError as e:
-                    raise ValueError(f"missing metrics for {e.args[0]}") from None
-                mean_first = fixture.mean_metricx(first, scale, language)
-                mean_second = fixture.mean_metricx(second, scale, language)
-                if mean_first == mean_second:
-                    raise ValueError(
-                        f"downstream tie between {first!r} and {second!r} "
-                        f"on {language!r}; labels are undefined"
-                    )
-                examples.append(
-                    PairwiseExample(
-                        tok_i=first,
-                        tok_j=second,
-                        language=language,
-                        features=feats,
-                        label=int(mean_first < mean_second),
-                    )
+        for first, second in combinations(tokenizers, 2):
+            if rng.random() < 0.5:
+                first, second = second, first
+            try:
+                feats = vectors[(first, language)] - vectors[(second, language)]
+            except KeyError as e:
+                raise ValueError(f"missing metrics for {e.args[0]}") from None
+            mean_first = fixture.mean_metricx(first, scale, language)
+            mean_second = fixture.mean_metricx(second, scale, language)
+            if mean_first == mean_second:
+                raise ValueError(
+                    f"downstream tie between {first!r} and {second!r} "
+                    f"on {language!r}; labels are undefined"
                 )
+            examples.append(
+                PairwiseExample(
+                    tok_i=first,
+                    tok_j=second,
+                    language=language,
+                    features=feats,
+                    label=int(mean_first < mean_second),
+                )
+            )
     return examples
 
 
@@ -552,6 +551,29 @@ _FITTERS = {
     "linear-svm": fit_linear_svm,
     "rbf-svm": fit_rbf_svm_platt,
 }
+
+
+def _leave_one_out(metrics, fixture, scale, unit, feature_set, model_kind, cv_folds, seed,
+                   only=None):
+    """Hold out each tokenizer or each language (`unit`), or only `only`.
+
+    From one seeded dataset, yields (unit, model, held-out examples) in
+    fixture order: the model is fit by _FITTERS on the examples that do
+    not involve the unit, and the held-out examples are those that do.
+    """
+    if model_kind not in _FITTERS:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    units, least = (fixture.tokenizers(), 3) if unit == "tokenizer" else (fixture.languages(), 2)
+    if len(units) < least:
+        raise ValueError(f"need at least {least} {unit}s for leave-one-out")
+    if only is not None and only not in units:
+        raise ValueError(f"{unit} {only!r} is not in the fixture (has {units})")
+    dataset = build_pairwise_dataset(metrics, fixture, scale, feature_set, seed)
+    involved = (lambda e: (e.tok_i, e.tok_j)) if unit == "tokenizer" else (lambda e: (e.language,))
+    for held in units if only is None else [only]:
+        train = [e for e in dataset if held not in involved(e)]
+        model = _FITTERS[model_kind](train, cv_folds=cv_folds, feature_names=feature_set)
+        yield held, model, [e for e in dataset if held in involved(e)]
 
 
 def leave_one_tokenizer_out(
@@ -563,30 +585,38 @@ def leave_one_tokenizer_out(
     cv_folds: int = 5,
     seed: int = 0,
 ) -> EvaluationReport:
-    """Hold out each tokenizer in turn; F1 on the examples that involve it."""
-    if model_kind not in _FITTERS:
-        raise ValueError(f"unknown model kind {model_kind!r}")
+    """The held-out protocol over each tokenizer; F1 on the examples that involve it."""
     feature_set = tuple(feature_set)
-    tokenizers = fixture.tokenizers()
-    if len(tokenizers) < 3:
-        raise ValueError("need at least 3 tokenizers for leave-one-out")
-    dataset = build_pairwise_dataset(metrics, fixture, scale, feature_set, seed)
-    fitter = _FITTERS[model_kind]
-    per_heldout = {}
-    for held in tokenizers:
-        train = [e for e in dataset if held not in (e.tok_i, e.tok_j)]
-        test = [e for e in dataset if held in (e.tok_i, e.tok_j)]
-        model = fitter(train, cv_folds=cv_folds, feature_names=feature_set)
-        predicted = [int(predict_pair(model, e.features) > 0.5) for e in test]
-        actual = [e.label for e in test]
-        per_heldout[held] = f1_score(predicted, actual)
+    per_heldout = {
+        held: f1_score([int(predict_pair(model, e.features) > 0.5) for e in test],
+                       [e.label for e in test])
+        for held, model, test in _leave_one_out(
+            metrics, fixture, scale, "tokenizer", feature_set, model_kind, cv_folds, seed)
+    }
     return EvaluationReport(
-        per_heldout=per_heldout,
-        mean_f1=float(np.mean(list(per_heldout.values()))),
-        feature_set=feature_set,
-        model_kind=model_kind,
-        seed=seed,
+        per_heldout=per_heldout, mean_f1=float(np.mean(list(per_heldout.values()))),
+        feature_set=feature_set, model_kind=model_kind, seed=seed,
     )
+
+
+def _language_tables(metrics, fixture, scale, cv_folds, seed, only=None):
+    """(language, win probabilities) per held-out language, or for `only`.
+
+    Raw outputs for the two orientations of a pair need not agree, so
+    P[i, j] <- (P(i over j) + 1 - P(j over i))/2, from the pair's one
+    example; one written j before i is negated, which is exact.
+    """
+    index = {name: k for k, name in enumerate(fixture.tokenizers())}
+    for language, model, test in _leave_one_out(
+            metrics, fixture, scale, "language", METRIC_NAMES, "rbf-svm", cv_folds, seed, only):
+        matrix = np.full((len(index), len(index)), 0.5)
+        for e in test:
+            i, j, d = index[e.tok_i], index[e.tok_j], e.features
+            if i > j:
+                i, j, d = j, i, -d
+            matrix[i, j] = (predict_pair(model, d) + 1.0 - predict_pair(model, -d)) / 2.0
+            matrix[j, i] = 1.0 - matrix[i, j]
+        yield language, PairwiseProbabilities(names=tuple(index), matrix=matrix)
 
 
 def heldout_language_probabilities(
@@ -597,36 +627,9 @@ def heldout_language_probabilities(
     cv_folds: int = 5,
     seed: int = 0,
 ) -> PairwiseProbabilities:
-    """Win probabilities on `language` from an RBF SVM trained on the others.
-
-    The seeded dataset is built over every language, so the training
-    examples do not depend on which language is held out. Raw model
-    outputs for the two orientations of a pair need not agree, so they
-    are symmetrized: P[i, j] <- (P(i over j) + 1 - P(j over i))/2.
-    """
-    languages = fixture.languages()
-    if len(languages) < 2:
-        raise ValueError("need at least 2 languages for leave-one-out")
-    if language not in languages:
-        raise ValueError(
-            f"language {language!r} is not in the fixture (has {languages})"
-        )
-    tokenizers = fixture.tokenizers()
-    dataset = build_pairwise_dataset(metrics, fixture, scale, METRIC_NAMES, seed)
-    train = [e for e in dataset if e.language != language]
-    model = fit_rbf_svm_platt(train, cv_folds=cv_folds, feature_names=METRIC_NAMES)
-    n = len(tokenizers)
-    matrix = np.full((n, n), 0.5)
-    for i in range(n):
-        for j in range(i + 1, n):
-            xi = metrics[(tokenizers[i], language)].as_features(METRIC_NAMES)
-            xj = metrics[(tokenizers[j], language)].as_features(METRIC_NAMES)
-            p_ij = predict_pair(model, xi - xj)
-            p_ji = predict_pair(model, xj - xi)
-            p = (p_ij + 1.0 - p_ji) / 2.0
-            matrix[i, j] = p
-            matrix[j, i] = 1.0 - p
-    return PairwiseProbabilities(names=tuple(tokenizers), matrix=matrix)
+    """Win probabilities on `language`, held out alone, from an RBF SVM fit on the others."""
+    ((_, probs),) = _language_tables(metrics, fixture, scale, cv_folds, seed, only=language)
+    return probs
 
 
 def leave_one_language_out(
@@ -636,10 +639,5 @@ def leave_one_language_out(
     cv_folds: int = 5,
     seed: int = 0,
 ) -> dict[str, PairwiseProbabilities]:
-    """heldout_language_probabilities for every language of the fixture."""
-    return {
-        language: heldout_language_probabilities(
-            metrics, fixture, scale, language, cv_folds=cv_folds, seed=seed
-        )
-        for language in fixture.languages()
-    }
+    """heldout_language_probabilities for every language, from one dataset."""
+    return dict(_language_tables(metrics, fixture, scale, cv_folds, seed))

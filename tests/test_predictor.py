@@ -1,7 +1,8 @@
 """Pairwise predictors: dataset construction, solvers, calibration.
 
-Solver oracles: the SMO dual is cross-checked against an SLSQP solve of
-the same QP, on RBF and linear kernels, plus the KKT conditions, and the
+Solver oracles: the SMO dual is certified optimal by weak duality (the
+primal at the dual's weights and best bias bounds its distance to the
+optimum), on RBF and linear kernels, plus the KKT conditions, and the
 scalar SMO loop against a copy of the earlier vectorized loop, bit for
 bit; the linear SVM, SMO on the linear kernel, by a zero duality gap:
 its free-bias primal at the fitted weights and bias against an SLSQP
@@ -580,10 +581,14 @@ class TestRbfSvm:
         points=_ILL_CONDITIONED_POINTS, labels=_ILL_CONDITIONED_LABELS, gamma=0.01, C=100.0,
     )
     def test_smo_reaches_the_qp_optimum(self, points, labels, gamma, C):
-        # The solution must be feasible and reach the dual optimum that
-        # SLSQP finds, polished by a second, tighter run from its own
-        # point; on random draws the two objectives agree to about 3e-10
-        # relative, so 1e-8 relative is the stated tolerance.
+        # The solution must be feasible and reach the dual optimum. Weak
+        # duality certifies it: with w = sum_i alpha_i s_i phi(x_i), whose
+        # decision values are u = K (alpha * s), the primal
+        # (1/2)||w||^2 + C * sum of hinge at the best bias (one of the
+        # breakpoints s_i - u_i) is at least minus the optimum, so
+        # dual(alpha) + primal bounds how far dual(alpha) is above it.
+        # On random draws that SMO solves it stays below 1e-8 relative,
+        # the stated tolerance.
         n = len(points)
         sign = np.where(labels[:n], 1.0, -1.0)
         sign[:2] = (1.0, -1.0)
@@ -597,19 +602,11 @@ class TestRbfSvm:
         # An update alpha[i] + delta_i may round past the box by an ulp of C.
         assert alpha.min() >= -1e-12 * C and alpha.max() <= C * (1.0 + 1e-12)
         assert abs(alpha @ sign) <= 1e-12 * C
-        problem = dict(
-            jac=lambda a: Q @ a - 1.0, bounds=[(0.0, C)] * n, method="SLSQP",
-            constraints=[{"type": "eq", "fun": lambda a: a @ sign,
-                          "jac": lambda a: sign}],
-        )
-        reference = optimize.minimize(
-            dual, np.zeros(n), options={"ftol": 1e-12, "maxiter": 1000}, **problem
-        ).x
-        reference = optimize.minimize(
-            dual, reference, options={"ftol": 1e-15, "maxiter": 1000}, **problem
-        ).x
-        optimum = dual(reference)
-        assert abs(dual(alpha) - optimum) <= 1e-8 * max(1.0, abs(optimum))
+        u = K @ (alpha * sign)
+        bias = sign - u  # row k: the bias that puts example k on its margin
+        hinge = np.maximum(0.0, 1.0 - sign * (u + bias[:, None])).sum(axis=1)
+        primal = 0.5 * alpha @ Q @ alpha + C * hinge.min()
+        assert dual(alpha) + primal <= 1e-8 * max(1.0, abs(dual(alpha)))
 
     def test_requires_four_examples(self):
         with pytest.raises(ValueError, match="at least 4"):
@@ -908,3 +905,46 @@ class TestHeldoutLanguageProbabilities:
         metrics, fixture = synth_world
         with pytest.raises(ValueError, match="'zz' is not in the fixture"):
             heldout_language_probabilities(metrics, fixture, SYNTH_SCALE, "zz")
+
+
+class TestOneHeldOutProtocol:
+    """LOTO and LOLO build one dataset, and no fit sees its held-out unit."""
+
+    @staticmethod
+    def record(monkeypatch):
+        datasets, fits = [], []
+        build = predictor.build_pairwise_dataset
+
+        def building(*args, **kwargs):
+            datasets.append(build(*args, **kwargs))
+            return datasets[-1]
+
+        monkeypatch.setattr(predictor, "build_pairwise_dataset", building)
+        for kind, fitter in predictor._FITTERS.items():
+            def fitting(train, *args, _fitter=fitter, **kwargs):
+                fits.append(train)
+                return _fitter(train, *args, **kwargs)
+
+            monkeypatch.setitem(predictor._FITTERS, kind, fitting)
+        return datasets, fits
+
+    @pytest.mark.parametrize("protocol", ["tokenizer", "language", "one-language"])
+    def test_one_dataset_and_no_fit_sees_its_unit(self, synth_world, monkeypatch, protocol):
+        metrics, fixture = synth_world
+        datasets, fits = self.record(monkeypatch)
+        if protocol == "tokenizer":
+            leave_one_tokenizer_out(metrics, fixture, SYNTH_SCALE, model_kind="linear-svm",
+                                    cv_folds=2)
+            units, involved = fixture.tokenizers(), lambda e: (e.tok_i, e.tok_j)
+        elif protocol == "language":
+            leave_one_language_out(metrics, fixture, SYNTH_SCALE, cv_folds=2)
+            units, involved = fixture.languages(), lambda e: (e.language,)
+        else:
+            heldout_language_probabilities(metrics, fixture, SYNTH_SCALE, "cc", cv_folds=2)
+            units, involved = ["cc"], lambda e: (e.language,)
+        assert len(datasets) == 1
+        (dataset,) = datasets
+        assert len(fits) == len(units)
+        for held, train in zip(units, fits):
+            assert all(held not in involved(e) for e in train)
+            assert [id(e) for e in train] == [id(e) for e in dataset if held not in involved(e)]

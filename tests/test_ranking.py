@@ -11,12 +11,14 @@ likelihood by scipy.
 from __future__ import annotations
 
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special
+from scipy.stats import kendalltau
 
 from tokscope import (
     BTRatings,
@@ -28,6 +30,7 @@ from tokscope import (
     ranking_from_ratings,
 )
 from tokscope import stats
+from tokscope.corpus_io import DIRECTIONS
 from tokscope.ranking import PROB_FLOOR
 
 
@@ -225,6 +228,20 @@ class TestRankingFromRatings:
             Ranking(ordered=("a", "b"), scores=(1.0,))
 
 
+def mean_score(fx, score, tokenizer, scale, language) -> float:
+    """MetricX or chrF averaged over both translation directions."""
+    return 0.5 * sum(getattr(fx.get(tokenizer, scale, language, d), score) for d in DIRECTIONS)
+
+
+def bundled_gaps(scale, score="metricx") -> np.ndarray:
+    """First minus second tokenizer's mean score, per (language, tokenizer pair)."""
+    fx = load_bundled_fixture()
+    return np.array([
+        mean_score(fx, score, a, scale, language) - mean_score(fx, score, b, scale, language)
+        for language in fx.languages() for a, b in combinations(fx.tokenizers(), 2)
+    ])
+
+
 class TestGroundTruth:
     def test_zh_order_at_2_7b(self):
         fx = load_bundled_fixture()
@@ -260,6 +277,47 @@ class TestGroundTruth:
         assert result.n == 6
         assert result.coefficient == pytest.approx(tau, abs=5e-4)
         assert result.p_value == pytest.approx(p, abs=5e-4)
+
+    def test_small_scale_winner_is_large_scale_winner(self):
+        small, large = bundled_gaps("350M"), bundled_gaps("2.7B")
+        assert len(small) == 60
+        assert np.count_nonzero((small > 0) == (large > 0)) == 53
+
+    @pytest.mark.parametrize("by, counts", [
+        ("2.7B", {0.25: (48, 53), 0.5: (39, 40), 1.0: (31, 32), 2.0: (14, 14)}),
+        ("350M", {0.25: (51, 57), 0.5: (51, 56), 1.0: (42, 43), 2.0: (30, 31)}),
+    ])
+    def test_clear_differences_agree_across_scales(self, by, counts):
+        # Of the pairs whose gap at scale `by` is strictly above each
+        # threshold, how many have the same winner at 350M and at 2.7B.
+        # The 350M gap is the one known before the larger model is trained.
+        agree = (bundled_gaps("350M") > 0) == (bundled_gaps("2.7B") > 0)
+        gap = np.abs(bundled_gaps(by))
+        for threshold, (agreeing, clear) in counts.items():
+            above = gap > threshold
+            assert (np.count_nonzero(agree & above), np.count_nonzero(above)) == (agreeing, clear)
+
+    @pytest.mark.parametrize("scale", ["350M", "2.7B"])
+    def test_chrf_winner_is_metricx_winner(self, scale):
+        # chrF is higher-is-better, MetricX lower-is-better.
+        agree = (bundled_gaps(scale) > 0) == (bundled_gaps(scale, "chrf") < 0)
+        assert np.count_nonzero(agree) == 54
+
+    @pytest.mark.parametrize("scale, language, tau, p", [
+        ("350M", "cs", 0.867, 0.0167), ("350M", "de", 0.867, 0.0167),
+        ("350M", "ru", 0.600, 0.1361), ("350M", "zh", 0.867, 0.0167),
+        ("2.7B", "cs", 0.733, 0.0556), ("2.7B", "de", 0.600, 0.1361),
+        ("2.7B", "ru", 0.867, 0.0167), ("2.7B", "zh", 1.000, 0.0028),
+    ])
+    def test_metricx_and_chrf_orders_agree(self, scale, language, tau, p):
+        fx = load_bundled_fixture()
+        metricx = [mean_score(fx, "metricx", t, scale, language) for t in fx.tokenizers()]
+        chrf = [-mean_score(fx, "chrf", t, scale, language) for t in fx.tokenizers()]
+        result = stats.kendall(metricx, chrf)
+        assert result.n == 6
+        assert result.coefficient == pytest.approx(tau, abs=5e-4)
+        assert result.p_value == pytest.approx(p, abs=5e-5)
+        assert kendalltau(metricx, chrf, method="exact").pvalue == pytest.approx(p, abs=5e-5)
 
     def test_missing_cell_reported(self):
         fx = load_bundled_fixture()
